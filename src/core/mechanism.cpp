@@ -39,7 +39,9 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
   const game::Coalition candidates =
       request.candidates.empty() ? game::Coalition::all(inst.num_gsps())
                                  : request.candidates;
-  inst.validate();
+  // The value function validates the instance: once per request, as
+  // every coalition instance is a restriction of it.
+  const game::VoValueFunction v(inst, solver_);
   detail::require(trust.size() == inst.num_gsps(),
                   "VoFormationMechanism::run: trust graph size != num GSPs");
   const std::size_t m = inst.num_gsps();
@@ -62,8 +64,6 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
     for (const std::size_t i : c.members()) acc += result.global_reputation[i];
     return acc / static_cast<double>(c.size());
   };
-
-  const game::VoValueFunction v(inst, solver_);
 
   // Algorithm 1 main loop, started from the candidate pool (the grand
   // coalition in the paper's setting). Under the Incremental policy

@@ -33,18 +33,30 @@ const CoalitionEvaluation& VoValueFunction::evaluate_impl(
     const ip::AssignmentInstance sub =
         inst_.restrict_to(c.mask(inst_.num_gsps()), &original);
 
-    ip::AssignmentSolution sol;
+    // Along the warm chain the parent coalition's orders are the last
+    // ones built; the child's are derived from them instead of sorted.
+    std::unique_ptr<const ip::TaskOrders> orders;
+    if (hint != nullptr && orders_ != nullptr &&
+        hint->removed_gsp < inst_.num_gsps() &&
+        orders_coalition_ == c.with(hint->removed_gsp)) {
+      // The removed GSP's row in the parent: its members below it.
+      const std::size_t removed_row =
+          Coalition(orders_coalition_.bits() &
+                    ((std::uint64_t{1} << hint->removed_gsp) - 1))
+              .size();
+      orders = std::make_unique<const ip::TaskOrders>(
+          orders_->without_row(sub, removed_row));
+    } else {
+      orders = std::make_unique<const ip::TaskOrders>(sub);
+    }
+
+    ip::WarmStart warm;
+    warm.orders = orders.get();
     if (hint != nullptr) {
-      // The full instance is the common "parent" coordinate system:
-      // mappings are stored in original GSP indices and `original` maps
-      // restricted rows back to it, so both the repaired incumbent and
-      // the shared cost orders translate through `original` alone.
-      if (cost_order_ == nullptr) {
-        cost_order_ = std::make_shared<ip::CostOrderCache>(inst_);
-      }
-      ip::WarmStart warm;
-      warm.cost_order = cost_order_;
-      warm.rows = original;
+      // Mappings are stored in original GSP indices and `original` maps
+      // restricted rows back to them, so the repaired incumbent
+      // translates through `original` alone.
+      warm.reverification = true;
       if (hint->previous != nullptr && hint->previous->feasible &&
           hint->previous->mapping.size() == inst_.num_tasks()) {
         const ip::RepairResult repaired = ip::repair_for_removal(
@@ -55,10 +67,10 @@ const CoalitionEvaluation& VoValueFunction::evaluate_impl(
           warm.repair_moves = repaired.moves;
         }
       }
-      sol = solver_.solve(sub, warm);
-    } else {
-      sol = solver_.solve(sub);
     }
+    const ip::AssignmentSolution sol = solver_.solve(sub, warm);
+    orders_ = std::move(orders);
+    orders_coalition_ = c;
     eval.stats = sol.stats;
     if (sol.has_assignment()) {
       eval.feasible = true;

@@ -65,14 +65,18 @@ class VoValueFunction {
   /// outcome is treated as infeasible for game semantics — both
   /// mechanisms see the identical solver, so comparisons stay fair
   /// (DESIGN.md §4.4). Throws InvalidArgument if `c` exceeds m players.
+  /// The coalition's ip::TaskOrders are built here and handed to the
+  /// solver, so a warm evaluation of a child coalition can derive its
+  /// own from them.
   const CoalitionEvaluation& evaluate(Coalition c) const;
 
   /// Warm evaluation: like evaluate(c), but when `hint.previous` holds a
   /// feasible mapping of c + {hint.removed_gsp}, repair it (reassign
-  /// only the removed GSP's tasks) into a warm incumbent and reuse the
-  /// full instance's per-task cost orders, both handed to the solver as
-  /// ip::WarmStart. Memoized identically to evaluate(c); a cache hit
-  /// ignores the hint.
+  /// only the removed GSP's tasks) into a warm incumbent, and derive the
+  /// task orders from the parent coalition's (ip::TaskOrders::
+  /// without_row) when they are the last ones built; both reach the
+  /// solver as ip::WarmStart. Memoized identically to evaluate(c); a
+  /// cache hit ignores the hint.
   const CoalitionEvaluation& evaluate(Coalition c, const WarmHint& hint) const;
 
   /// v(C) shortcut.
@@ -90,9 +94,11 @@ class VoValueFunction {
   const ip::AssignmentInstance& inst_;
   const ip::AssignmentSolver& solver_;
   mutable std::unordered_map<std::uint64_t, CoalitionEvaluation> cache_;
-  /// Per-task cost orders of the full instance, built lazily on the
-  /// first warm evaluation and shared by every restricted solve.
-  mutable std::shared_ptr<const ip::CostOrderCache> cost_order_;
+  /// Task orders of the last coalition solved (`orders_coalition_`):
+  /// the parent of the next warm evaluation in Algorithm 1's chain.
+  /// Only they and the child's orders are alive at once.
+  mutable std::unique_ptr<const ip::TaskOrders> orders_;
+  mutable Coalition orders_coalition_;
 };
 
 }  // namespace svo::game

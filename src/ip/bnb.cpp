@@ -1,9 +1,8 @@
 #include "ip/bnb.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <numeric>
+#include <optional>
 
 #include "ip/greedy.hpp"
 #include "ip/warm_start.hpp"
@@ -20,69 +19,24 @@ constexpr double kEps = 1e-9;
 /// depth = number of tasks).
 class Search {
  public:
-  /// `cache`/`rows` (both set or both null) reuse a parent instance's
-  /// per-task cost orders: the restricted orders are obtained by
-  /// filtering the cached ones, which is bit-identical to re-sorting
-  /// because row restriction preserves relative order and both sorts
-  /// are stable.
-  Search(const AssignmentInstance& inst, const BnbOptions& opts,
-         const CostOrderCache* cache = nullptr,
-         const std::vector<std::size_t>* rows = nullptr)
-      : inst_(inst), opts_(opts), k_(inst.num_gsps()), n_(inst.num_tasks()) {
-    // Child order per task (GSPs by ascending cost), per-task minimum
-    // cost, and regret (cost spread of the two cheapest GSPs).
-    std::vector<double> regret(n_, 0.0);
-    min_cost_.assign(n_, 0.0);
-    gsp_order_.assign(n_ * k_, 0);
-    if (cache != nullptr && rows != nullptr) {
-      std::vector<std::size_t> child_of(cache->num_gsps(), SIZE_MAX);
-      for (std::size_t r = 0; r < k_; ++r) child_of[(*rows)[r]] = r;
-      for (std::size_t t = 0; t < n_; ++t) {
-        const std::size_t* full = cache->order(t);
-        auto* row = gsp_order_.data() + t * k_;
-        std::size_t w = 0;
-        for (std::size_t i = 0; i < cache->num_gsps() && w < k_; ++i) {
-          const std::size_t child = child_of[full[i]];
-          if (child != SIZE_MAX) row[w++] = child;
-        }
-        min_cost_[t] = inst_.cost(row[0], t);
-        regret[t] = k_ > 1 ? inst_.cost(row[1], t) - min_cost_[t] : 0.0;
-      }
-    } else {
-      for (std::size_t t = 0; t < n_; ++t) {
-        double best = std::numeric_limits<double>::infinity();
-        double second = best;
-        for (std::size_t g = 0; g < k_; ++g) {
-          const double c = inst_.cost(g, t);
-          if (c < best) {
-            second = best;
-            best = c;
-          } else if (c < second) {
-            second = c;
-          }
-        }
-        min_cost_[t] = best;
-        regret[t] = std::isfinite(second) ? second - best : 0.0;
-      }
-      for (std::size_t t = 0; t < n_; ++t) {
-        auto* row = gsp_order_.data() + t * k_;
-        std::iota(row, row + k_, std::size_t{0});
-        std::stable_sort(row, row + k_, [&](std::size_t a, std::size_t b) {
-          return inst_.cost(a, t) < inst_.cost(b, t);
-        });
-      }
-    }
-    // Branching order: descending regret; breaking high-regret
-    // decisions first tightens bounds early.
-    order_.resize(n_);
-    std::iota(order_.begin(), order_.end(), 0);
-    std::stable_sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
-      return regret[a] > regret[b];
-    });
-    // Suffix of capacity-blind minimum costs in branching order.
+  /// `orders` are the TaskOrders of `inst`; the search only reads them.
+  Search(const AssignmentInstance& inst, const TaskOrders& orders,
+         const BnbOptions& opts)
+      : inst_(inst),
+        orders_(orders),
+        opts_(opts),
+        k_(inst.num_gsps()),
+        n_(inst.num_tasks()) {
+    // Children are explored in ascending cost order and tasks branched
+    // in descending regret order: breaking high-regret decisions first
+    // tightens bounds early. Suffix of capacity-blind per-task minimum
+    // costs in branching order.
+    const std::vector<std::size_t>& order = orders_.by_regret();
     suffix_min_.assign(n_ + 1, 0.0);
     for (std::size_t i = n_; i-- > 0;) {
-      suffix_min_[i] = suffix_min_[i + 1] + min_cost_[order_[i]];
+      const std::size_t t = order[i];
+      suffix_min_[i] =
+          suffix_min_[i + 1] + inst_.cost(orders_.gsp_order(t)[0], t);
     }
     load_.assign(k_, 0.0);
     count_.assign(k_, 0);
@@ -151,10 +105,10 @@ class Search {
       }
       return;
     }
-    const std::size_t t = order_[depth];
+    const std::size_t t = orders_.by_regret()[depth];
     const std::size_t remaining_after = n_ - depth - 1;
     const double suffix = suffix_min_[depth + 1];
-    const auto* children = gsp_order_.data() + t * k_;
+    const std::size_t* children = orders_.gsp_order(t);
     for (std::size_t ci = 0; ci < k_; ++ci) {
       const std::size_t g = children[ci];
       const double c = inst_.cost(g, t);
@@ -186,12 +140,10 @@ class Search {
   }
 
   const AssignmentInstance& inst_;
+  const TaskOrders& orders_;
   const BnbOptions& opts_;
   std::size_t k_;
   std::size_t n_;
-  std::vector<std::size_t> order_;
-  std::vector<std::size_t> gsp_order_;
-  std::vector<double> min_cost_;
   std::vector<double> suffix_min_;
   std::vector<double> load_;
   std::vector<std::size_t> count_;
@@ -220,25 +172,23 @@ AssignmentSolution BnbAssignmentSolver::solve(const AssignmentInstance& inst,
 
 AssignmentSolution BnbAssignmentSolver::solve_impl(
     const AssignmentInstance& inst, const WarmStart* warm) const {
-  inst.validate();
-  obs::Span span("ip.bnb.solve", "ip");
-
-  // Reuse the parent instance's cost orders when the hint is coherent
-  // with this instance; otherwise fall back to recomputing them.
-  const CostOrderCache* cache = nullptr;
-  const std::vector<std::size_t>* rows = nullptr;
-  if (warm != nullptr && warm->has_bounds() &&
-      warm->rows.size() == inst.num_gsps() &&
-      warm->cost_order->num_tasks() == inst.num_tasks()) {
-    bool coherent = true;
-    for (const std::size_t p : warm->rows) {
-      coherent = coherent && p < warm->cost_order->num_gsps();
-    }
-    if (coherent) {
-      cache = warm->cost_order.get();
-      rows = &warm->rows;
-    }
+  // Orders handed in with the hint come from a validated instance; any
+  // other instance is outside input, validated and sorted here. The
+  // O(1) shape check keeps a mismatched hint from reading out of bounds.
+  const TaskOrders* orders = nullptr;
+  if (warm != nullptr && warm->orders != nullptr &&
+      warm->orders->num_gsps() == inst.num_gsps() &&
+      warm->orders->num_tasks() == inst.num_tasks() &&
+      inst.time.rows() == inst.num_gsps() &&
+      inst.time.cols() == inst.num_tasks()) {
+    orders = warm->orders;
+  } else {
+    inst.validate();
   }
+  obs::Span span("ip.bnb.solve", "ip");
+  std::optional<TaskOrders> own;
+  if (orders == nullptr) orders = &own.emplace(inst);
+
   // Accept the incumbent hint only when fully feasible ((10)-(13)); it
   // can then only tighten pruning, never change the proven status/cost.
   const bool warm_incumbent_ok =
@@ -246,13 +196,14 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
       warm->incumbent.size() == inst.num_tasks() &&
       check_feasible(inst, warm->incumbent).empty();
 
-  // A solve that accepted any warm hint is a re-verification of an
-  // incrementally modified instance; warm_max_nodes (when set) caps it.
+  // A re-verification of an incrementally modified instance, or a solve
+  // that accepted a warm incumbent: warm_max_nodes (when set) caps it.
   BnbOptions effective = opts_;
-  if (opts_.warm_max_nodes > 0 && (cache != nullptr || warm_incumbent_ok)) {
+  if (opts_.warm_max_nodes > 0 &&
+      ((warm != nullptr && warm->reverification) || warm_incumbent_ok)) {
     effective.max_nodes = std::min(effective.max_nodes, opts_.warm_max_nodes);
   }
-  Search search(inst, effective, cache, rows);
+  Search search(inst, *orders, effective);
 
   AssignmentSolution sol;
   // Warm incumbent first: a repaired previous mapping is typically
@@ -264,7 +215,7 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
     sol.stats.repair_moves = warm->repair_moves;
   }
   if (opts_.seed_with_greedy) {
-    Assignment seed = greedy_construct(inst, GreedyOptions::Order::RegretDescending);
+    Assignment seed = greedy_construct(inst, orders->by_regret());
     if (seed.empty()) {
       seed = greedy_construct(inst, GreedyOptions::Order::TimeDescending);
     }

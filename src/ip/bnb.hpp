@@ -50,9 +50,9 @@ class BnbAssignmentSolver final : public AssignmentSolver {
   [[nodiscard]] AssignmentSolution solve(
       const AssignmentInstance& inst) const override;
   /// Warm-started solve (ip/warm_start.hpp): seeds the incumbent from
-  /// `warm` when it is feasible and filters the cached parent cost
-  /// orders instead of re-sorting. Hints only tighten pruning — a run
-  /// to proof returns the same status and cost as the cold solve.
+  /// `warm` when it is feasible and searches over the supplied task
+  /// orders instead of sorting. Hints only tighten pruning — a run to
+  /// proof returns the same status and cost as the cold solve.
   [[nodiscard]] AssignmentSolution solve(const AssignmentInstance& inst,
                                          const WarmStart& warm) const override;
   [[nodiscard]] std::string name() const override { return "bnb"; }

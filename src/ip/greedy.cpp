@@ -39,10 +39,7 @@ double max_time(const AssignmentInstance& inst, std::size_t t) {
 Assignment greedy_construct(const AssignmentInstance& inst,
                             GreedyOptions::Order order) {
   inst.validate();
-  const std::size_t k = inst.num_gsps();
   const std::size_t n = inst.num_tasks();
-  if (inst.require_all_gsps_used && k > n) return {};
-
   std::vector<std::size_t> task_order(n);
   std::iota(task_order.begin(), task_order.end(), 0);
   std::vector<double> key(n);
@@ -53,6 +50,14 @@ Assignment greedy_construct(const AssignmentInstance& inst,
   }
   std::stable_sort(task_order.begin(), task_order.end(),
                    [&](std::size_t a, std::size_t b) { return key[a] > key[b]; });
+  return greedy_construct(inst, task_order);
+}
+
+Assignment greedy_construct(const AssignmentInstance& inst,
+                            const std::vector<std::size_t>& task_order) {
+  const std::size_t k = inst.num_gsps();
+  const std::size_t n = inst.num_tasks();
+  if (inst.require_all_gsps_used && k > n) return {};
 
   Assignment a(n, SIZE_MAX);
   std::vector<double> load(k, 0.0);

@@ -45,4 +45,11 @@ class GreedyAssignmentSolver final : public AssignmentSolver {
 [[nodiscard]] Assignment greedy_construct(const AssignmentInstance& inst,
                                           GreedyOptions::Order order);
 
+/// Construction step over a caller-supplied task order (a permutation of
+/// the tasks); `inst` must already be valid. The B&B seeds from
+/// TaskOrders::by_regret(), which is the RegretDescending order, so its
+/// seed is the one greedy_construct(inst, RegretDescending) builds.
+[[nodiscard]] Assignment greedy_construct(
+    const AssignmentInstance& inst, const std::vector<std::size_t>& task_order);
+
 }  // namespace svo::ip

@@ -1,0 +1,96 @@
+#include "ip/task_orders.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+
+namespace svo::ip {
+
+namespace {
+
+/// Regret from a task's cost-sorted rows. An infinite second cost gives
+/// 0, as a scan for the two cheapest GSPs would.
+double regret_of(const AssignmentInstance& inst, const std::size_t* order,
+                 std::size_t k, std::size_t t) {
+  if (k < 2) return 0.0;
+  const double second = inst.cost(order[1], t);
+  return std::isfinite(second) ? second - inst.cost(order[0], t) : 0.0;
+}
+
+/// The regret order as a strict total order: a stable sort by
+/// descending regret places equal regrets by ascending task index.
+struct RegretFirst {
+  const std::vector<double>& regret;
+  bool operator()(std::size_t a, std::size_t b) const {
+    return regret[a] > regret[b] || (regret[a] == regret[b] && a < b);
+  }
+};
+
+}  // namespace
+
+TaskOrders::TaskOrders(const AssignmentInstance& inst)
+    : k_(inst.num_gsps()), n_(inst.num_tasks()) {
+  gsp_order_.resize(n_ * k_);
+  regret_.resize(n_);
+  std::vector<double> cost(k_);  // one task's column of the cost matrix
+  for (std::size_t t = 0; t < n_; ++t) {
+    for (std::size_t g = 0; g < k_; ++g) cost[g] = inst.cost(g, t);
+    std::size_t* row = gsp_order_.data() + t * k_;
+    std::iota(row, row + k_, std::size_t{0});
+    // Equal costs keep the lower row first, as a stable sort would.
+    std::sort(row, row + k_, [&](std::size_t a, std::size_t b) {
+      return cost[a] < cost[b] || (cost[a] == cost[b] && a < b);
+    });
+    regret_[t] = regret_of(inst, row, k_, t);
+  }
+  by_regret_.resize(n_);
+  std::iota(by_regret_.begin(), by_regret_.end(), std::size_t{0});
+  std::sort(by_regret_.begin(), by_regret_.end(), RegretFirst{regret_});
+}
+
+TaskOrders TaskOrders::without_row(const AssignmentInstance& child,
+                                   std::size_t removed_row) const {
+  detail::require(removed_row < k_, "TaskOrders::without_row: no such row");
+  detail::require(child.num_gsps() + 1 == k_ && child.num_tasks() == n_,
+                  "TaskOrders::without_row: child is not this instance "
+                  "minus one row");
+  TaskOrders out;
+  out.k_ = k_ - 1;
+  out.n_ = n_;
+  out.gsp_order_.resize(n_ * out.k_);
+  out.regret_ = regret_;
+  // A task's regret changes only if the removed row was one of its two
+  // cheapest; every other task keeps its regret and its place.
+  std::vector<char> moved(n_, 0);
+  std::vector<std::size_t> resorted;
+  for (std::size_t t = 0; t < n_; ++t) {
+    const std::size_t* from = gsp_order(t);
+    std::size_t* to = out.gsp_order_.data() + t * out.k_;
+    const std::size_t at = static_cast<std::size_t>(
+        std::find(from, from + k_, removed_row) - from);
+    // Drop the removed row; rows above it move down by one.
+    const auto renumber = [removed_row](std::size_t g) {
+      return g - static_cast<std::size_t>(g > removed_row);
+    };
+    std::transform(from, from + at, to, renumber);
+    std::transform(from + at + 1, from + k_, to + at, renumber);
+    if (at < 2) {
+      moved[t] = 1;
+      out.regret_[t] = regret_of(child, to, out.k_, t);
+      resorted.push_back(t);
+    }
+  }
+  const RegretFirst before{out.regret_};
+  std::sort(resorted.begin(), resorted.end(), before);
+  std::vector<std::size_t> kept;
+  kept.reserve(n_ - resorted.size());
+  for (const std::size_t t : by_regret_) {
+    if (moved[t] == 0) kept.push_back(t);
+  }
+  out.by_regret_.resize(n_);
+  std::merge(kept.begin(), kept.end(), resorted.begin(), resorted.end(),
+             out.by_regret_.begin(), before);
+  return out;
+}
+
+}  // namespace svo::ip

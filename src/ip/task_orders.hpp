@@ -1,0 +1,70 @@
+/// \file task_orders.hpp
+/// The preprocessing every B&B solve of IP (9)-(14) starts from, built
+/// once per instance and immutable afterwards:
+///
+///  - per task, its GSPs in ascending cost order (stable: ties keep the
+///    lower row first) — the B&B's child order, and order[0] its
+///    capacity-blind per-task bound;
+///  - per task, its static regret: the cost gap between its two cheapest
+///    GSPs (0 with a single GSP);
+///  - the tasks in descending regret order (stable: ties keep the lower
+///    task first) — the B&B's branching order and the greedy seed's
+///    insertion order.
+///
+/// Algorithm 1 solves a chain of coalitions that each lose one GSP, so
+/// without_row() derives the next instance's orders from the current
+/// ones instead of sorting again, with a result equal field for field
+/// to a fresh build. DESIGN.md §4c carries the argument.
+#pragma once
+
+#include <cstddef>
+#include <vector>
+
+#include "ip/assignment.hpp"
+
+namespace svo::ip {
+
+class TaskOrders {
+ public:
+  /// Sort `inst`. Precondition: `inst.validate()` passes. It is not
+  /// re-checked here: the solver entry points validate outside input
+  /// once, and a restriction of a valid instance is valid.
+  explicit TaskOrders(const AssignmentInstance& inst);
+
+  /// Orders of `child`: this instance with row `removed_row` deleted,
+  /// the surviving rows renumbered in order (what restrict_to builds).
+  /// Only tasks whose two cheapest GSPs included the removed row get a
+  /// new regret; they alone are re-sorted and merged back into the
+  /// regret order. Throws InvalidArgument when the shapes disagree.
+  [[nodiscard]] TaskOrders without_row(const AssignmentInstance& child,
+                                       std::size_t removed_row) const;
+
+  [[nodiscard]] std::size_t num_gsps() const noexcept { return k_; }
+  [[nodiscard]] std::size_t num_tasks() const noexcept { return n_; }
+
+  /// Rows of task `t`, cost-ascending (stable). Length num_gsps().
+  [[nodiscard]] const std::size_t* gsp_order(std::size_t t) const noexcept {
+    return gsp_order_.data() + t * k_;
+  }
+  /// Static regret of every task.
+  [[nodiscard]] const std::vector<double>& regret() const noexcept {
+    return regret_;
+  }
+  /// Tasks by descending regret (stable).
+  [[nodiscard]] const std::vector<std::size_t>& by_regret() const noexcept {
+    return by_regret_;
+  }
+
+  friend bool operator==(const TaskOrders&, const TaskOrders&) = default;
+
+ private:
+  TaskOrders() = default;
+
+  std::size_t k_ = 0;
+  std::size_t n_ = 0;
+  std::vector<std::size_t> gsp_order_;  // n x k, row-major per task
+  std::vector<double> regret_;
+  std::vector<std::size_t> by_regret_;
+};
+
+}  // namespace svo::ip

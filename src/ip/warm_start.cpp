@@ -2,21 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 namespace svo::ip {
-
-CostOrderCache::CostOrderCache(const AssignmentInstance& parent)
-    : k_(parent.num_gsps()), n_(parent.num_tasks()) {
-  order_.assign(n_ * k_, 0);
-  for (std::size_t t = 0; t < n_; ++t) {
-    auto* row = order_.data() + t * k_;
-    std::iota(row, row + k_, std::size_t{0});
-    std::stable_sort(row, row + k_, [&](std::size_t a, std::size_t b) {
-      return parent.cost(a, t) < parent.cost(b, t);
-    });
-  }
-}
 
 namespace {
 

@@ -43,6 +43,8 @@
 #include "ip/greedy.hpp"        // IWYU pragma: export
 #include "ip/local_search.hpp"  // IWYU pragma: export
 #include "ip/lp_bnb.hpp"        // IWYU pragma: export
+#include "ip/task_orders.hpp"   // IWYU pragma: export
+#include "ip/warm_start.hpp"    // IWYU pragma: export
 
 #include "trace/atlas_synth.hpp"  // IWYU pragma: export
 #include "trace/lublin.hpp"       // IWYU pragma: export

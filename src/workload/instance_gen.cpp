@@ -74,6 +74,12 @@ GridInstance generate_instance(const trace::ProgramSpec& program,
                                const InstanceGenOptions& opts,
                                util::Xoshiro256& rng) {
   const TableIParams& p = opts.params;
+  // Constraint (13) gives every GSP a task, so with more GSPs than tasks
+  // no deadline or payment is feasible and the redraw loop below would
+  // never end.
+  detail::require(p.num_gsps <= program.num_tasks,
+                  "generate_instance: more GSPs than tasks; constraint (13) "
+                  "cannot hold");
   GridInstance gi;
   gi.program = program;
   gi.speeds = generate_speeds(p, rng);

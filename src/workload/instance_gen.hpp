@@ -65,7 +65,9 @@ struct InstanceGenOptions {
 /// ranges until a greedy probe finds a feasible assignment; if
 /// max_feasibility_redraws is exhausted, the deadline range is relaxed
 /// multiplicatively (flagged in the result) so callers always receive a
-/// feasible instance, exactly as the paper promises.
+/// feasible instance, exactly as the paper promises. Throws
+/// InvalidArgument when `opts.params.num_gsps` exceeds the program's
+/// task count: constraint (13) then rules out every assignment.
 [[nodiscard]] GridInstance generate_instance(const trace::ProgramSpec& program,
                                              const InstanceGenOptions& opts,
                                              util::Xoshiro256& rng);

@@ -1,5 +1,6 @@
-/// Tests for ip/warm_start.hpp: the cost-order cache, the
-/// removal-repair step, and the warm-started B&B. The load-bearing
+/// Tests for ip/task_orders.hpp and ip/warm_start.hpp: task orders and
+/// their derivation along a removal chain, the removal-repair step, and
+/// the warm-started B&B. The load-bearing
 /// property throughout: warm hints never change what an exact solve
 /// returns — status and cost must match the cold solve bit for bit.
 #include "ip/warm_start.hpp"
@@ -7,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 
 #include "ip/bnb.hpp"
@@ -27,12 +27,25 @@ AssignmentInstance drop_row(const AssignmentInstance& inst,
   return inst.restrict_to(keep, rows);
 }
 
-TEST(CostOrderCacheTest, MatchesDirectStableSort) {
-  util::Xoshiro256 rng(11);
-  const AssignmentInstance inst = testing::random_instance(7, 13, rng);
-  const CostOrderCache cache(inst);
-  ASSERT_EQ(cache.num_gsps(), 7u);
-  ASSERT_EQ(cache.num_tasks(), 13u);
+/// Random instance whose costs are small integers, so many tasks tie on
+/// cost and on regret: the tie-breaking rules are what is under test.
+AssignmentInstance tied_instance(std::size_t k, std::size_t n,
+                                 util::Xoshiro256& rng) {
+  AssignmentInstance inst = testing::random_instance(k, n, rng);
+  for (std::size_t g = 0; g < k; ++g) {
+    for (std::size_t t = 0; t < n; ++t) {
+      inst.cost(g, t) = static_cast<double>(rng.uniform_int(1, 4));
+    }
+  }
+  return inst;
+}
+
+/// The orders by their definition: stable sorts of the instance itself.
+void expect_sorted_definition(const AssignmentInstance& inst,
+                              const TaskOrders& orders) {
+  ASSERT_EQ(orders.num_gsps(), inst.num_gsps());
+  ASSERT_EQ(orders.num_tasks(), inst.num_tasks());
+  std::vector<double> regret(inst.num_tasks());
   for (std::size_t t = 0; t < inst.num_tasks(); ++t) {
     std::vector<std::size_t> expect(inst.num_gsps());
     std::iota(expect.begin(), expect.end(), std::size_t{0});
@@ -40,40 +53,108 @@ TEST(CostOrderCacheTest, MatchesDirectStableSort) {
                      [&](std::size_t a, std::size_t b) {
                        return inst.cost(a, t) < inst.cost(b, t);
                      });
-    const std::size_t* got = cache.order(t);
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(got[i], expect[i]) << "task " << t << " rank " << i;
+    const std::vector<std::size_t> got(
+        orders.gsp_order(t), orders.gsp_order(t) + inst.num_gsps());
+    EXPECT_EQ(got, expect) << "task " << t;
+    regret[t] = expect.size() > 1 ? inst.cost(expect[1], t) -
+                                        inst.cost(expect[0], t)
+                                  : 0.0;
+  }
+  EXPECT_EQ(orders.regret(), regret);
+  std::vector<std::size_t> by_regret(inst.num_tasks());
+  std::iota(by_regret.begin(), by_regret.end(), std::size_t{0});
+  std::stable_sort(by_regret.begin(), by_regret.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return regret[a] > regret[b];
+                   });
+  EXPECT_EQ(orders.by_regret(), by_regret);
+}
+
+TEST(TaskOrdersTest, MatchesDirectStableSort) {
+  util::Xoshiro256 rng(11);
+  const AssignmentInstance inst = testing::random_instance(7, 13, rng);
+  expect_sorted_definition(inst, TaskOrders(inst));
+  for (const std::size_t k : {1, 2, 3, 8, 16}) {
+    const AssignmentInstance inst = tied_instance(k, 40, rng);
+    SCOPED_TRACE("k = " + std::to_string(k));
+    expect_sorted_definition(inst, TaskOrders(inst));
+  }
+}
+
+TEST(TaskOrdersTest, WithoutRowEqualsFreshBuild) {
+  // Deriving a child's orders from its parent's must give exactly what
+  // sorting the child gives — the bit-identity the warm B&B relies on.
+  util::Xoshiro256 rng(12);
+  const AssignmentInstance inst = testing::random_instance(6, 10, rng);
+  const TaskOrders parent(inst);
+  for (std::size_t removed = 0; removed < inst.num_gsps(); ++removed) {
+    std::vector<std::size_t> rows;
+    const AssignmentInstance sub = drop_row(inst, removed, &rows);
+    EXPECT_TRUE(parent.without_row(sub, removed) == TaskOrders(sub))
+        << "removed " << removed;
+  }
+}
+
+TEST(TaskOrdersTest, RemovalChainsEqualFreshBuilds) {
+  // Property: along random removal chains down to a single GSP, with
+  // integer costs that force cost and regret ties, every derived
+  // TaskOrders equals a fresh build field for field.
+  for (const std::size_t k : {2, 3, 8, 16}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      util::Xoshiro256 rng(seed * 100 + k);
+      AssignmentInstance inst = tied_instance(k, 60, rng);
+      TaskOrders orders(inst);
+      while (inst.num_gsps() > 1) {
+        const std::size_t removed = rng.index(inst.num_gsps());
+        std::vector<std::size_t> rows;
+        AssignmentInstance sub = drop_row(inst, removed, &rows);
+        TaskOrders derived = orders.without_row(sub, removed);
+        const TaskOrders fresh(sub);
+        SCOPED_TRACE("k = " + std::to_string(k) + " seed " +
+                     std::to_string(seed) + " at " +
+                     std::to_string(inst.num_gsps()) + " GSPs, removed " +
+                     std::to_string(removed));
+        ASSERT_EQ(derived.num_gsps(), fresh.num_gsps());
+        for (std::size_t t = 0; t < sub.num_tasks(); ++t) {
+          ASSERT_TRUE(std::equal(derived.gsp_order(t),
+                                 derived.gsp_order(t) + sub.num_gsps(),
+                                 fresh.gsp_order(t)))
+              << "task " << t;
+        }
+        ASSERT_EQ(derived.regret(), fresh.regret());
+        ASSERT_EQ(derived.by_regret(), fresh.by_regret());
+        ASSERT_TRUE(derived == fresh);
+        inst = std::move(sub);
+        orders = std::move(derived);
+      }
     }
   }
 }
 
-TEST(CostOrderCacheTest, FilteredOrderEqualsRestrictedSort) {
-  // Filtering the parent order through the surviving rows must equal the
-  // restricted instance's own stable sort — the bit-identical-bounds
-  // argument the warm B&B relies on.
-  util::Xoshiro256 rng(12);
-  const AssignmentInstance inst = testing::random_instance(6, 10, rng);
-  const CostOrderCache cache(inst);
-  for (std::size_t removed = 0; removed < inst.num_gsps(); ++removed) {
-    std::vector<std::size_t> rows;
-    const AssignmentInstance sub = drop_row(inst, removed, &rows);
-    std::vector<std::size_t> child_of(inst.num_gsps(), SIZE_MAX);
-    for (std::size_t r = 0; r < rows.size(); ++r) child_of[rows[r]] = r;
-    for (std::size_t t = 0; t < sub.num_tasks(); ++t) {
-      // Filtered parent order, translated to child rows.
-      std::vector<std::size_t> filtered;
-      for (std::size_t i = 0; i < cache.num_gsps(); ++i) {
-        const std::size_t child = child_of[cache.order(t)[i]];
-        if (child != SIZE_MAX) filtered.push_back(child);
-      }
-      // Direct stable sort on the restricted instance.
-      std::vector<std::size_t> direct(sub.num_gsps());
-      std::iota(direct.begin(), direct.end(), std::size_t{0});
-      std::stable_sort(direct.begin(), direct.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return sub.cost(a, t) < sub.cost(b, t);
-                       });
-      EXPECT_EQ(filtered, direct) << "removed " << removed << " task " << t;
+TEST(TaskOrdersTest, WithoutRowRejectsAMismatchedChild) {
+  util::Xoshiro256 rng(13);
+  const AssignmentInstance inst = testing::random_instance(4, 6, rng);
+  const TaskOrders orders(inst);
+  std::vector<std::size_t> rows;
+  const AssignmentInstance sub = drop_row(inst, 1, &rows);
+  EXPECT_THROW((void)orders.without_row(sub, 4), InvalidArgument);
+  EXPECT_THROW((void)orders.without_row(inst, 1), InvalidArgument);
+  const AssignmentInstance wider = testing::random_instance(4, 7, rng);
+  EXPECT_THROW((void)orders.without_row(drop_row(wider, 1, &rows), 1),
+               InvalidArgument);
+}
+
+TEST(TaskOrdersTest, RegretOrderSeedsLikeRegretDescendingGreedy) {
+  // The B&B seeds greedy construction from by_regret() instead of
+  // recomputing the regret order: the seeds must be the same.
+  for (const std::size_t k : {1, 2, 3, 8}) {
+    util::Xoshiro256 rng(14 + k);
+    for (const bool tied : {false, true}) {
+      const AssignmentInstance inst = tied ? tied_instance(k, 30, rng)
+                                           : testing::random_instance(k, 30, rng);
+      EXPECT_EQ(greedy_construct(inst, TaskOrders(inst).by_regret()),
+                greedy_construct(inst, GreedyOptions::Order::RegretDescending))
+          << "k " << k << (tied ? " tied" : "");
     }
   }
 }
@@ -143,7 +224,7 @@ TEST(WarmBnbTest, WarmEqualsColdOnEveryRemoval) {
         testing::random_instance(5, 11, rng, /*tight=*/seed % 2 == 0);
     const AssignmentSolution parent = solver.solve(inst);
     if (!parent.has_assignment()) continue;
-    const auto cache = std::make_shared<CostOrderCache>(inst);
+    const TaskOrders parent_orders(inst);
 
     for (std::size_t removed = 0; removed < inst.num_gsps(); ++removed) {
       std::vector<std::size_t> rows;
@@ -151,9 +232,10 @@ TEST(WarmBnbTest, WarmEqualsColdOnEveryRemoval) {
 
       const AssignmentSolution cold = solver.solve(sub);
 
+      const TaskOrders orders = parent_orders.without_row(sub, removed);
       WarmStart warm;
-      warm.cost_order = cache;
-      warm.rows = rows;
+      warm.orders = &orders;
+      warm.reverification = true;
       const RepairResult r =
           repair_for_removal(sub, rows, parent.assignment, removed);
       if (r.ok) {
@@ -206,10 +288,10 @@ TEST(WarmBnbTest, IncoherentHintsAreIgnoredNotFatal) {
   const AssignmentInstance inst = testing::random_instance(4, 8, rng);
   const AssignmentInstance other = testing::random_instance(6, 9, rng);
   const BnbAssignmentSolver solver;
+  const TaskOrders other_orders(other);
   WarmStart warm;
-  warm.cost_order = std::make_shared<CostOrderCache>(other);  // wrong shape
-  warm.rows = {0, 1};                                         // wrong arity
-  warm.incumbent = Assignment(3, 0);                          // wrong arity
+  warm.orders = &other_orders;        // wrong shape
+  warm.incumbent = Assignment(3, 0);  // wrong arity
   warm.incumbent_cost = 1.0;
   const AssignmentSolution hot = solver.solve(inst, warm);
   const AssignmentSolution cold = solver.solve(inst);

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "tests/temp_path.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -694,8 +695,7 @@ TEST_F(RecorderTest, FileWriterFailsGracefullyOnBadPath) {
 
 TEST_F(RecorderTest, TraceSessionWritesFileAndRestoresState) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "svo_obs_session_test.json")
-          .string();
+      svo::testing::unique_temp_path("svo_obs_session_test", ".json");
   std::filesystem::remove(path);
   {
     TraceSession session(path);

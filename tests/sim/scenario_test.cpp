@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace svo::sim {
@@ -63,6 +65,28 @@ TEST(ScenarioFactoryTest, MechanismSeedsAreDistinct) {
 TEST(ScenarioFactoryTest, UnknownSizeThrows) {
   const ScenarioFactory factory(small_config());
   EXPECT_THROW((void)factory.make(7777, 0), InvalidArgument);
+}
+
+TEST(ScenarioFactoryTest, MoreGspsThanTasksThrows) {
+  // Regression: constraint (13) cannot hold with more GSPs than tasks,
+  // and instance generation used to redraw deadline/payment forever.
+  // ctest runs this under a TIMEOUT (tests/CMakeLists.txt).
+  for (const auto& [gsps, tasks] :
+       {std::pair<std::size_t, std::int64_t>{9, 8}, {65, 64}}) {
+    ExperimentConfig cfg = small_config();
+    cfg.gen.params.num_gsps = gsps;
+    cfg.trace.canonical_sizes = {tasks};
+    cfg.task_sizes = {static_cast<std::size_t>(tasks)};
+    const ScenarioFactory factory(cfg);
+    EXPECT_THROW((void)factory.make(static_cast<std::size_t>(tasks), 1),
+                 InvalidArgument)
+        << gsps << " GSPs, " << tasks << " tasks";
+  }
+  // As many GSPs as tasks is feasible (one task each) and still works.
+  ExperimentConfig cfg = small_config();
+  cfg.gen.params.num_gsps = 32;
+  EXPECT_EQ(ScenarioFactory(cfg).make(32, 0).instance.assignment.num_gsps(),
+            32u);
 }
 
 }  // namespace

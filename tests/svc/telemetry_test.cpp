@@ -25,6 +25,7 @@
 #include "obs/slo.hpp"
 #include "svc/service.hpp"
 #include "tests/ip/test_instances.hpp"
+#include "tests/temp_path.hpp"
 #include "trust/trust_graph.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -209,8 +210,7 @@ TEST(ServiceTelemetryTest, JsonlSinkReceivesClosedWindows) {
   const ip::BnbAssignmentSolver solver;
   const core::TvofMechanism tvof(solver);
   const std::string path =
-      (std::filesystem::temp_directory_path() / "svo_svc_windows_test.jsonl")
-          .string();
+      svo::testing::unique_temp_path("svo_svc_windows_test", ".jsonl");
   std::filesystem::remove(path);
   {
     ServiceOptions opt;

@@ -73,6 +73,27 @@ TEST(Xoshiro256Test, IndexIsApproximatelyUniform) {
   }
 }
 
+TEST(Xoshiro256Test, IndexDrawsMatchTheAlwaysDividingFormula) {
+  // index() skips the threshold division when the draw is already >= n;
+  // draws and generator state must match the formula that always
+  // computes (2^64 - n) % n first.
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{7},
+        std::uint64_t{8192}, (std::uint64_t{1} << 32) + 1,
+        std::uint64_t{1} << 63, (std::uint64_t{1} << 63) + 1, kTop}) {
+    Xoshiro256 rng(n ^ 0x5eed);
+    Xoshiro256 ref(n ^ 0x5eed);
+    const std::uint64_t threshold = (0 - n) % n;
+    for (int i = 0; i < 1'000'000; ++i) {
+      std::uint64_t r = ref();
+      while (r < threshold) r = ref();
+      ASSERT_EQ(rng.index(n), r % n) << "n " << n << " draw " << i;
+    }
+    EXPECT_EQ(rng(), ref()) << "n " << n;  // same number of raw draws
+  }
+}
+
 TEST(Xoshiro256Test, IndexZeroThrows) {
   Xoshiro256 rng(1);
   EXPECT_THROW((void)rng.index(0), InvalidArgument);

@@ -131,5 +131,19 @@ TEST(GenerateInstanceTest, DeterministicInRng) {
   EXPECT_DOUBLE_EQ(ga.speeds[2], gb.speeds[2]);
 }
 
+TEST(GenerateInstanceTest, MoreGspsThanTasksThrows) {
+  // Constraint (13) needs a task per GSP: no deadline or payment can make
+  // 9 GSPs x 8 tasks feasible, so generation refuses instead of redrawing
+  // forever. ctest runs this under a TIMEOUT (tests/CMakeLists.txt).
+  InstanceGenOptions opts;
+  opts.params.num_gsps = 9;
+  util::Xoshiro256 rng(12);
+  EXPECT_THROW((void)generate_instance(test_program(8), opts, rng),
+               InvalidArgument);
+  opts.params.num_gsps = 8;
+  EXPECT_EQ(generate_instance(test_program(8), opts, rng).assignment.num_gsps(),
+            8u);
+}
+
 }  // namespace
 }  // namespace svo::workload
