@@ -10,9 +10,10 @@
 ///     from the previous eigenvector in measurably fewer iterations.
 ///
 /// Emits BENCH_trust_scale.json:
-///  - dense_sparse_identical: at k = 48 the sparse backend reproduces the
-///    dense engine bit for bit — standard, coalition and robust paths
-///    (gated exactly by tools/bench_diff);
+///  - dense_sparse_identical: at k = 48 the CSR engine reproduces
+///    linalg::power_method on the dense eq. (1) matrix bit for bit —
+///    full-graph and coalition paths (gated exactly by tools/bench_diff;
+///    the robust path is pinned by the tier-1 dense-reference tests);
 ///  - exact_hit_identical per run: an unchanged graph is answered from
 ///    the cache with the identical result object (exact gate);
 ///  - per-run nnz / fill_pct: structure echoes of the seeded generator
@@ -28,6 +29,8 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "linalg/power_method.hpp"
+#include "tests/trust/dense_reference.hpp"
 #include "trust/reputation.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -67,7 +70,7 @@ ScaleRun run_scale_point(std::size_t m, std::uint64_t seed) {
   run.fill_pct = csr.fill_ratio() * 100.0;
 
   trust::ReputationCache cache;
-  trust::ReputationOptions opts;  // Auto: CSR everywhere at these sizes
+  trust::ReputationOptions opts;
   opts.cache = &cache;
   const trust::ReputationEngine engine(opts);
 
@@ -102,34 +105,30 @@ ScaleRun run_scale_point(std::size_t m, std::uint64_t seed) {
   return run;
 }
 
-/// Bit-identity of the two backends over every reputation path, at a
-/// size where the dense engine is still comfortable.
-bool backends_identical(std::uint64_t seed) {
+/// Bit-identity of the CSR engine and the dense power method on the
+/// paper's eq. (1) matrix, at a size where the dense solve is still
+/// comfortable.
+bool matches_dense_reference(std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   const trust::TrustGraph g =
       trust::random_trust_graph(kIdentityGsps, 0.25, rng);
   std::vector<std::size_t> coalition;
   for (std::size_t i = 0; i < kIdentityGsps; i += 3) coalition.push_back(i);
 
-  trust::ReputationOptions dense;
-  dense.backend = trust::TrustBackend::Dense;
-  trust::ReputationOptions sparse;
-  sparse.backend = trust::TrustBackend::Sparse;
-  const auto same = [](const trust::ReputationResult& a,
-                       const trust::ReputationResult& b) {
-    return a.scores == b.scores && a.iterations == b.iterations &&
-           a.converged == b.converged && a.average == b.average;
+  const trust::ReputationEngine engine;
+  const auto same = [](const trust::ReputationResult& got,
+                       const linalg::PowerMethodResult& want) {
+    return got.scores == want.eigenvector &&
+           got.iterations == want.iterations &&
+           got.converged == want.converged;
   };
-  bool ok =
-      same(trust::ReputationEngine(dense).compute(g),
-           trust::ReputationEngine(sparse).compute(g)) &&
-      same(trust::ReputationEngine(dense).compute(g, coalition),
-           trust::ReputationEngine(sparse).compute(g, coalition));
-  dense.robust.enabled = sparse.robust.enabled = true;
-  dense.robust.fresh = sparse.robust.fresh = {0, 7, 23};
-  ok = ok && same(trust::ReputationEngine(dense).compute(g),
-                  trust::ReputationEngine(sparse).compute(g));
-  return ok;
+  const linalg::PowerMethodOptions& power = engine.options().power;
+  return same(engine.compute(g), linalg::power_method(
+                                     trust::testing::dense_normalized(g),
+                                     power)) &&
+         same(engine.compute(g, coalition),
+              linalg::power_method(
+                  trust::testing::dense_normalized(g, coalition), power));
 }
 
 }  // namespace
@@ -139,8 +138,9 @@ int main() {
       "Scale", "sparse + incremental reputation at 1k-100k GSPs");
   const std::uint64_t seed = util::env_u64_or("SVO_SEED", 20120910);
 
-  const bool identical = backends_identical(seed);
-  std::printf("dense == sparse (k=%zu, all paths): %s\n\n", kIdentityGsps,
+  const bool identical = matches_dense_reference(seed);
+  std::printf("dense == sparse (k=%zu, full graph + coalition): %s\n\n",
+              kIdentityGsps,
               identical ? "bit-identical" : "MISMATCH");
 
   const std::vector<std::size_t> sizes = {1'000, 10'000, 100'000};

@@ -56,9 +56,7 @@
 #include "workload/instance_gen.hpp"  // IWYU pragma: export
 #include "workload/params.hpp"        // IWYU pragma: export
 
-#include "trust/beta.hpp"         // IWYU pragma: export
 #include "trust/decay.hpp"        // IWYU pragma: export
-#include "trust/hierarchy.hpp"    // IWYU pragma: export
 #include "trust/propagation.hpp"  // IWYU pragma: export
 #include "trust/reputation.hpp"   // IWYU pragma: export
 #include "trust/trust_graph.hpp"  // IWYU pragma: export

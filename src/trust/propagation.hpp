@@ -17,7 +17,6 @@
 #include <optional>
 
 #include "linalg/matrix.hpp"
-#include "linalg/sparse.hpp"
 #include "trust/trust_graph.hpp"
 
 namespace svo::trust {
@@ -59,16 +58,6 @@ struct PropagationOptions {
 /// (diagonal is zero). Entry (i, j) is 0 when j is unreachable from i
 /// within the hop limit.
 [[nodiscard]] linalg::Matrix propagated_matrix(
-    const TrustGraph& g, const PropagationOptions& opts = {});
-
-/// CSR twin of propagated_matrix: to_dense() of the result equals the
-/// dense matrix entry for entry. Under ProbabilisticOr it runs ONE
-/// hop-bounded simple-path DFS per source, accumulating every target's
-/// complement along the way — the pairwise DFS's arrival events in the
-/// same order (so bit-equal values), at 1/n of the traversals. The
-/// matrix stores only reachable pairs, which is what makes propagation
-/// usable on the sparse-regime graphs of DESIGN.md §4i.
-[[nodiscard]] linalg::SparseMatrix propagated_sparse(
     const TrustGraph& g, const PropagationOptions& opts = {});
 
 }  // namespace svo::trust

@@ -25,6 +25,15 @@ void note_reputation(obs::Span& span, const char* mode,
   if (!r.converged) m.counter("trust.reputation.nonconverged").add();
 }
 
+ReputationResult from_power(linalg::PowerMethodResult pm) {
+  ReputationResult r;
+  r.scores = std::move(pm.eigenvector);
+  r.iterations = pm.iterations;
+  r.converged = pm.converged;
+  r.average = average_reputation(r.scores);
+  return r;
+}
+
 /// Cache fingerprint: two power-option sets produce interchangeable
 /// results only when every knob matches (threads included — results are
 /// identical across thread counts, but keeping the fingerprint strict
@@ -46,47 +55,16 @@ void ReputationOptions::validate() const {
                   "round, so memoization would be incorrect");
 }
 
-bool ReputationEngine::use_sparse(std::size_t n) const noexcept {
-  switch (opts_.backend) {
-    case TrustBackend::Dense:
-      return false;
-    case TrustBackend::Sparse:
-      return true;
-    case TrustBackend::Auto:
-      break;
-  }
-  return n > opts_.sparse_threshold;
-}
-
-ReputationResult ReputationEngine::from_matrix(const linalg::Matrix& a) const {
+ReputationResult ReputationEngine::solve(const linalg::SparseMatrix& a) const {
   obs::Span span("trust.reputation.compute", "trust");
-  ReputationResult r;
-  const linalg::PowerMethodResult pm = linalg::power_method(a, opts_.power);
-  r.scores = pm.eigenvector;
-  r.iterations = pm.iterations;
-  r.converged = pm.converged;
-  r.average = average_reputation(r.scores);
+  ReputationResult r = from_power(linalg::sparse_power_method(a, opts_.power));
   note_reputation(span, "standard", r);
   return r;
 }
 
-ReputationResult ReputationEngine::from_sparse(
-    const linalg::SparseMatrix& a) const {
-  obs::Span span("trust.reputation.compute", "trust");
-  ReputationResult r;
-  const linalg::PowerMethodResult pm =
-      linalg::sparse_power_method(a, opts_.power);
-  r.scores = pm.eigenvector;
-  r.iterations = pm.iterations;
-  r.converged = pm.converged;
-  r.average = average_reputation(r.scores);
-  note_reputation(span, "sparse", r);
-  return r;
-}
-
-ReputationResult ReputationEngine::full_sparse(const TrustGraph& g) const {
+ReputationResult ReputationEngine::compute_cached(const TrustGraph& g) const {
   ReputationCache* cache = opts_.cache;
-  if (cache == nullptr) return from_sparse(g.normalized_sparse());
+  if (cache == nullptr) return solve(g.normalized_sparse());
 
   obs::Span span("trust.reputation.compute", "trust");
   obs::MetricRegistry& m = obs::Recorder::instance().metrics();
@@ -94,10 +72,14 @@ ReputationResult ReputationEngine::full_sparse(const TrustGraph& g) const {
                      same_power(cache->power_, opts_.power);
   if (keyed && cache->graph_version_ == g.version()) {
     // Exact reuse: the compute is deterministic, so returning the memo
-    // is bit-identical to re-running it.
+    // is bit-identical to re-running it. No iteration ran, so the hit is
+    // not a compute: it must not add to the iteration or convergence
+    // counters.
     ++cache->stats_.exact_hits;
-    note_reputation(span, "sparse-cached", cache->result_);
-    if (span.active()) m.counter("trust.reputation.cache_exact_hits").add();
+    if (span.active()) {
+      span.arg("mode", "cached");
+      m.counter("trust.reputation.cache_exact_hits").add();
+    }
     return cache->result_;
   }
 
@@ -110,19 +92,16 @@ ReputationResult ReputationEngine::full_sparse(const TrustGraph& g) const {
     }
   }
 
-  const linalg::PowerMethodResult pm =
+  linalg::PowerMethodResult pm =
       linalg::sparse_power_method(g.normalized_sparse(), opts_.power, warm);
-  ReputationResult r;
-  r.scores = pm.eigenvector;
-  r.iterations = pm.iterations;
-  r.converged = pm.converged;
-  r.average = average_reputation(r.scores);
+  const bool warm_started = pm.warm_started;
+  ReputationResult r = from_power(std::move(pm));
 
-  if (pm.warm_started) {
+  if (warm_started) {
     ++cache->stats_.warm_starts;
     const std::size_t saved =
-        cache->cold_iterations_ > pm.iterations
-            ? cache->cold_iterations_ - pm.iterations
+        cache->cold_iterations_ > r.iterations
+            ? cache->cold_iterations_ - r.iterations
             : 0;
     cache->stats_.iterations_saved += saved;
     if (span.active()) {
@@ -131,7 +110,7 @@ ReputationResult ReputationEngine::full_sparse(const TrustGraph& g) const {
     }
   } else {
     ++cache->stats_.cold_starts;
-    cache->cold_iterations_ = pm.iterations;
+    cache->cold_iterations_ = r.iterations;
     if (span.active()) m.counter("trust.reputation.cold_starts").add();
   }
   cache->has_entry_ = true;
@@ -139,7 +118,7 @@ ReputationResult ReputationEngine::full_sparse(const TrustGraph& g) const {
   cache->graph_version_ = g.version();
   cache->power_ = opts_.power;
   cache->result_ = r;
-  note_reputation(span, pm.warm_started ? "sparse-warm" : "sparse", r);
+  note_reputation(span, warm_started ? "warm" : "standard", r);
   return r;
 }
 
@@ -147,15 +126,10 @@ ReputationResult ReputationEngine::compute_robust(
     const TrustGraph& g, const std::vector<std::size_t>& members) const {
   obs::Span span("trust.reputation.compute", "trust");
   opts_.robust.validate();
-  const std::size_t c = members.size();
-  const bool sparse = use_sparse(c);
-
-  std::vector<double> weights(c, 1.0);
+  std::vector<double> weights(members.size(), 1.0);
   if (opts_.robust.credibility_weighting) {
-    weights = sparse ? rater_credibility(g.raw_sparse(members),
-                                         opts_.robust.credibility_strength)
-                     : rater_credibility(g, members,
-                                         opts_.robust.credibility_strength);
+    weights = rater_credibility(g.raw_sparse(members),
+                                opts_.robust.credibility_strength);
   }
   // Quarantined (fresh) identities rate — and are scored — at a
   // discounted prior. `fresh` holds global GSP ids; remap to coalition
@@ -171,20 +145,10 @@ ReputationResult ReputationEngine::compute_robust(
     weights[p] *= opts_.robust.quarantine_prior;
   }
 
-  const linalg::PowerMethodResult pm =
-      sparse ? robust_power_method(g.normalized_sparse(members), weights,
-                                   opts_.power, opts_.robust.aggregation,
-                                   opts_.robust.trim_fraction,
-                                   opts_.robust.mom_buckets)
-             : robust_power_method(g.normalized_matrix(members), weights,
-                                   opts_.power, opts_.robust.aggregation,
-                                   opts_.robust.trim_fraction,
-                                   opts_.robust.mom_buckets);
-
-  ReputationResult r;
-  r.scores = pm.eigenvector;
-  r.iterations = pm.iterations;
-  r.converged = pm.converged;
+  ReputationResult r = from_power(robust_power_method(
+      g.normalized_sparse(members), weights, opts_.power,
+      opts_.robust.aggregation, opts_.robust.trim_fraction,
+      opts_.robust.mom_buckets));
   for (const std::size_t p : fresh_pos) {
     r.scores[p] *= opts_.robust.quarantine_prior;
   }
@@ -194,9 +158,9 @@ ReputationResult ReputationEngine::compute_robust(
     if (sum > 0.0) {
       for (double& s : r.scores) s /= sum;
     }
+    r.average = average_reputation(r.scores);
   }
-  r.average = average_reputation(r.scores);
-  note_reputation(span, sparse ? "robust-sparse" : "robust", r);
+  note_reputation(span, "robust", r);
   return r;
 }
 
@@ -207,8 +171,7 @@ ReputationResult ReputationEngine::compute(const TrustGraph& g) const {
     std::iota(all.begin(), all.end(), std::size_t{0});
     return compute_robust(g, all);
   }
-  if (use_sparse(g.size())) return full_sparse(g);
-  return from_matrix(g.normalized_matrix());
+  return compute_cached(g);
 }
 
 ReputationResult ReputationEngine::compute(
@@ -220,10 +183,7 @@ ReputationResult ReputationEngine::compute(
     return r;
   }
   if (opts_.robust.enabled) return compute_robust(g, members);
-  if (use_sparse(members.size())) {
-    return from_sparse(g.normalized_sparse(members));
-  }
-  return from_matrix(g.normalized_matrix(members));
+  return solve(g.normalized_sparse(members));
 }
 
 double average_reputation(const std::vector<double>& scores) {

@@ -27,7 +27,6 @@
 
 #include "linalg/power_method.hpp"
 #include "linalg/sparse.hpp"
-#include "trust/trust_graph.hpp"
 
 namespace svo::trust {
 
@@ -70,51 +69,32 @@ struct RobustOptions {
   void validate() const;
 };
 
-/// Median consensus opinion about each of `members` (original GSP ids,
-/// strictly increasing): median over the *clamped-to-[0,1]* direct
-/// reports u_ij of the other members. Entries with no incoming report
-/// are NaN ("no consensus"); callers must skip them.
-[[nodiscard]] std::vector<double> consensus_opinions(
-    const TrustGraph& g, const std::vector<std::size_t>& members);
-
-/// Credibility weight per member-as-rater in (0, 1]:
-/// exp(-strength * mean_j |clamp(u_ij) - consensus_j|) over the rater's
-/// in-coalition reports with a defined consensus; raters with no such
-/// reports keep weight 1.
-[[nodiscard]] std::vector<double> rater_credibility(
-    const TrustGraph& g, const std::vector<std::size_t>& members,
-    double strength);
-
-/// Power iteration with per-rater weights and robust per-trustee
-/// aggregation. Mirrors linalg::power_method exactly (uniform start,
-/// dangling rows spread uniformly, damping, L1-normalized iterates,
-/// epsilon on successive-iterate L1 distance); with unit weights and
-/// RowAggregation::Sum it computes the same fixed point. `weights` must
-/// be positive and <= 1, one per row of `a`.
-[[nodiscard]] linalg::PowerMethodResult robust_power_method(
-    const linalg::Matrix& a, const std::vector<double>& weights,
-    const linalg::PowerMethodOptions& power, RowAggregation aggregation,
-    double trim_fraction, std::size_t mom_buckets);
-
-/// Sparse twin of consensus_opinions: per-trustee median over the
-/// clamped stored reports of `raw` = TrustGraph::raw_sparse(members).
-/// Bit-identical to the dense overload on the same coalition — stored
-/// entries are exactly the u > 0 reports, gathered in the same
-/// rater-ascending order (DESIGN.md §4i).
+/// Median consensus opinion about each coalition member: median over
+/// the *clamped-to-[0,1]* stored reports of `raw` =
+/// TrustGraph::raw_sparse(members), gathered in rater-ascending order.
+/// Entries with no incoming report are NaN ("no consensus"); callers
+/// must skip them.
 [[nodiscard]] std::vector<double> consensus_opinions(
     const linalg::SparseMatrix& raw);
 
-/// Sparse twin of rater_credibility; same bit-identity contract.
+/// Credibility weight per member-as-rater in (0, 1]:
+/// exp(-strength * mean_j |clamp(u_ij) - consensus_j|) over the rater's
+/// stored reports with a defined consensus; raters with no such reports
+/// keep weight 1.
 [[nodiscard]] std::vector<double> rater_credibility(
     const linalg::SparseMatrix& raw, double strength);
 
-/// Sparse twin of robust_power_method over the normalized coalition CSR.
-/// Contributions for trustee j are gathered from the transposed matrix's
-/// row j in rater-ascending order — the dense loop's exact order — and
-/// zero-valued contributions (x_i == 0) are *kept*, because they
-/// participate in the trimmed / median-of-means order statistics.
-/// Dangling raters hold no stored entries, so they are excluded
-/// structurally, as the dense loop excludes them explicitly.
+/// Power iteration with per-rater weights and robust per-trustee
+/// aggregation over the normalized coalition CSR. Mirrors
+/// linalg::power_method (uniform start, dangling rows spread uniformly,
+/// damping, L1-normalized iterates, epsilon on successive-iterate L1
+/// distance); with unit weights and RowAggregation::Sum it computes the
+/// same fixed point. Contributions for trustee j are gathered from the
+/// transposed matrix's row j in rater-ascending order, and zero-valued
+/// contributions (x_i == 0) are *kept*, because they take part in the
+/// trimmed / median-of-means order statistics. Dangling raters hold no
+/// stored entries, so they contribute only through the uniform spread.
+/// `weights` must be positive and <= 1, one per row of `a`.
 [[nodiscard]] linalg::PowerMethodResult robust_power_method(
     const linalg::SparseMatrix& a, const std::vector<double>& weights,
     const linalg::PowerMethodOptions& power, RowAggregation aggregation,

@@ -99,35 +99,6 @@ double TrustGraph::trust(std::size_t i, std::size_t j) const {
   return graph_.edge_weight(i, j).value_or(0.0);
 }
 
-linalg::Matrix TrustGraph::normalized_matrix() const {
-  linalg::Matrix a = graph_.adjacency_matrix();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    auto row = a.row(i);
-    (void)linalg::normalize_l1(row);  // eq. (1); zero rows stay zero
-  }
-  return a;
-}
-
-linalg::Matrix TrustGraph::normalized_matrix(
-    const std::vector<std::size_t>& members) const {
-  detail::require(std::is_sorted(members.begin(), members.end()) &&
-                      std::adjacent_find(members.begin(), members.end()) ==
-                          members.end(),
-                  "TrustGraph: members must be strictly increasing");
-  const std::size_t c = members.size();
-  linalg::Matrix a(c, c);
-  for (std::size_t i = 0; i < c; ++i) {
-    detail::require(members[i] < size(), "TrustGraph: member out of range");
-    for (std::size_t j = 0; j < c; ++j) {
-      if (i == j) continue;
-      a(i, j) = graph_.edge_weight(members[i], members[j]).value_or(0.0);
-    }
-    auto row = a.row(i);
-    (void)linalg::normalize_l1(row);  // normalize within the coalition
-  }
-  return a;
-}
-
 linalg::SparseMatrix TrustGraph::build_sparse(
     const std::vector<std::size_t>* members, bool normalized) const {
   std::size_t n = 0;
@@ -165,7 +136,7 @@ linalg::SparseMatrix TrustGraph::build_sparse(
       // each stored a_ij below is bit-equal to the dense a(i, j).
       double sum = 0.0;
       for (const auto& [c_, w] : row) sum += w;
-      if (sum <= 0.0) continue;  // dangling: dense row stays all-zero
+      if (sum <= 0.0) continue;  // dangling: the row stays empty
       divisor = sum;
     }
     for (const auto& [lj, w] : row) {

@@ -12,8 +12,7 @@
 /// sparse/incremental reputation engine needs at 100k-1M participants
 /// (DESIGN.md §4i): a process-unique identity (`uid`), a mutation
 /// counter (`version`), a bounded log of recently changed edges
-/// (`edges_changed_since`), and CSR exports whose values are bit-equal
-/// to the dense matrices.
+/// (`edges_changed_since`), and the CSR exports the engine solves on.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "util/rng.hpp"
 
@@ -83,25 +81,19 @@ class TrustGraph {
   /// Underlying digraph (read-only).
   [[nodiscard]] const graph::Digraph& graph() const noexcept { return graph_; }
 
-  /// Normalized trust matrix A over all GSPs (eq. (1)). Rows of GSPs with
-  /// no outgoing trust are all-zero ("dangling"; the reputation engine
-  /// patches them to uniform).
-  [[nodiscard]] linalg::Matrix normalized_matrix() const;
-
-  /// Normalized trust matrix A_C of the subgraph induced by `members`
-  /// (original GSP indices, strictly increasing). Normalization happens
-  /// *inside* the coalition: opinions of outsiders are excluded, exactly
-  /// as TVOF requires (Section III-A).
-  [[nodiscard]] linalg::Matrix normalized_matrix(
-      const std::vector<std::size_t>& members) const;
-
-  /// CSR twin of normalized_matrix(): every stored value is bit-equal to
-  /// the corresponding dense entry (row sums are accumulated over the
-  /// column-sorted nonzeros, which matches linalg::normalize_l1's
-  /// ascending sum exactly — zeros only ever add +0.0). O(E log deg).
+  /// Normalized trust matrix A over all GSPs (eq. (1)) in CSR form. Rows
+  /// of GSPs with no outgoing trust hold no entries ("dangling"; the
+  /// reputation engine patches them to uniform). Row sums are accumulated
+  /// over the column-sorted nonzeros, which matches linalg::normalize_l1's
+  /// ascending sum over the dense row exactly (zeros only ever add +0.0),
+  /// so every stored a_ij is bit-equal to the paper's dense entry.
+  /// O(E log deg).
   [[nodiscard]] linalg::SparseMatrix normalized_sparse() const;
 
-  /// CSR twin of normalized_matrix(members); same bit-equality.
+  /// Normalized trust matrix A_C of the subgraph induced by `members`
+  /// (original GSP indices, strictly increasing), in CSR form with local
+  /// indices. Normalization happens *inside* the coalition: opinions of
+  /// outsiders are excluded, exactly as TVOF requires (Section III-A).
   [[nodiscard]] linalg::SparseMatrix normalized_sparse(
       const std::vector<std::size_t>& members) const;
 

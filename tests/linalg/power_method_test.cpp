@@ -103,6 +103,38 @@ TEST(PowerMethodTest, IterationCapReportsNonConvergence) {
   EXPECT_EQ(r.iterations, 1u);
 }
 
+/// The pooled column-block mat-vec (threads > 1, n >= 256) sums every
+/// y_j over the rows in the serial order, so any thread count gives the
+/// serial result bit for bit — including dangling rows and the undamped
+/// operator.
+TEST(PowerMethodTest, ThreadCountIsInvisible) {
+  util::Xoshiro256 rng(77);
+  const std::size_t n = 300;
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 25 == 0) continue;  // dangling row
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j && rng.bernoulli(0.1)) a(i, j) = rng.uniform(0.1, 1.0);
+    }
+    auto row = a.row(i);
+    (void)normalize_l1(row);
+  }
+  for (const double damping : {0.0, 0.15}) {
+    PowerMethodOptions opts;
+    opts.damping = damping;
+    opts.max_iterations = 500;
+    const PowerMethodResult serial = power_method(a, opts);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+      opts.threads = threads;
+      const PowerMethodResult pooled = power_method(a, opts);
+      EXPECT_EQ(pooled.iterations, serial.iterations);
+      EXPECT_EQ(pooled.converged, serial.converged);
+      EXPECT_EQ(pooled.eigenvector, serial.eigenvector)
+          << "damping=" << damping << " threads=" << threads;
+    }
+  }
+}
+
 /// Property sweep: for random row-stochastic matrices the result is an
 /// L1-normalized non-negative fixed point of the (damped) operator.
 class PowerMethodPropertyTest : public ::testing::TestWithParam<int> {};

@@ -124,7 +124,7 @@ TEST(SparseMatrixTest, MultiplyMatchesDense) {
                DimensionMismatch);
 }
 
-/// The load-bearing property for the whole sparse backend: identical
+/// The load-bearing property for the CSR-only trust engine: identical
 /// eigenvectors — bitwise — to the dense engine, including iteration
 /// counts, over random matrices, dangling rows, damping choices, and
 /// pool thread counts.
@@ -152,6 +152,41 @@ TEST(SparsePowerMethodTest, BitIdenticalToDenseEngine) {
         }
       }
     }
+  }
+}
+
+/// Above the pooling threshold (2048 rows) the gather spmv splits rows
+/// across workers; each y_j is still one serial gather over its column,
+/// so 1, 2 and 4 threads agree bit for bit.
+TEST(SparsePowerMethodTest, ThreadCountIsInvisible) {
+  util::Xoshiro256 rng(4096);
+  const std::size_t n = 4096;
+  const std::size_t degree = 8;
+  std::vector<Triplet> triplets;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 97 == 0) continue;  // dangling row
+    const std::size_t first = triplets.size();
+    double sum = 0.0;
+    for (std::size_t k = 0; k < degree; ++k) {
+      const std::size_t j = rng.index(n);
+      if (j == i) continue;
+      triplets.push_back({i, j, rng.uniform(0.1, 1.0)});
+      sum += triplets.back().value;
+    }
+    for (std::size_t k = first; k < triplets.size(); ++k) {
+      triplets[k].value /= sum;  // duplicates sum to their share
+    }
+  }
+  const SparseMatrix a = SparseMatrix::from_triplets(n, n, std::move(triplets));
+  PowerMethodOptions opts;
+  const PowerMethodResult serial = sparse_power_method(a, opts);
+  ASSERT_TRUE(serial.converged);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    opts.threads = threads;
+    const PowerMethodResult pooled = sparse_power_method(a, opts);
+    EXPECT_EQ(pooled.iterations, serial.iterations);
+    EXPECT_EQ(pooled.converged, serial.converged);
+    EXPECT_EQ(pooled.eigenvector, serial.eigenvector) << "threads=" << threads;
   }
 }
 

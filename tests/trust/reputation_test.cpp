@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace.hpp"
+
 namespace svo::trust {
 namespace {
 
@@ -104,6 +106,36 @@ TEST(ReputationEngineTest, PaperLiteralModeDampingZero) {
   double sum = 0.0;
   for (const double s : r.scores) sum += s;
   EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+TEST(ReputationEngineTest, NonConvergenceIsReportedNotHidden) {
+  // 0 -> {1, 2}, {1, 2} -> 0 is periodic with period 2: undamped, the
+  // iterate flips between uniform and (2/3, 1/6, 1/6) forever.
+  TrustGraph g(3);
+  g.set_trust(0, 1, 1.0);
+  g.set_trust(0, 2, 1.0);
+  g.set_trust(1, 0, 1.0);
+  g.set_trust(2, 0, 1.0);
+  ReputationOptions opts;
+  opts.power.damping = 0.0;
+  opts.power.max_iterations = 50;
+
+  obs::Recorder& recorder = obs::Recorder::instance();
+  recorder.clear();
+  recorder.enable();
+  const ReputationResult r = ReputationEngine(opts).compute(g);
+  const std::uint64_t nonconverged =
+      recorder.metrics().counter("trust.reputation.nonconverged").value();
+  recorder.disable();
+  recorder.clear();
+
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.iterations, 50u);
+  ASSERT_EQ(r.scores.size(), 3u);
+  double sum = 0.0;
+  for (const double s : r.scores) sum += s;
+  EXPECT_NEAR(sum, 1.0, 1e-12);
+  EXPECT_EQ(nonconverged, 1u);
 }
 
 TEST(AverageReputationTest, MatchesEq7) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "tests/trust/dense_reference.hpp"
 #include "trust/attack.hpp"
 #include "trust/reputation.hpp"
 #include "util/error.hpp"
@@ -81,7 +82,7 @@ TEST(RobustEquivalenceTest, DefensesOffIsBitIdenticalToLiteral) {
                             off.compute(g, coalition));
     // And both must equal the raw linalg kernel on the same matrix.
     const linalg::PowerMethodResult pm =
-        linalg::power_method(g.normalized_matrix(), {});
+        linalg::power_method(testing::dense_normalized(g), {});
     const ReputationResult r = off.compute(g);
     ASSERT_EQ(r.scores.size(), pm.eigenvector.size());
     for (std::size_t i = 0; i < r.scores.size(); ++i) {
@@ -122,11 +123,12 @@ TEST(RobustEquivalenceTest, NeutralDefensesMatchLiteralBitwise) {
 TEST(RobustPowerMethodTest, UnitWeightsSumMatchesLinalgKernel) {
   util::Xoshiro256 rng(31);
   const TrustGraph g = no_dangling_graph(8, rng);
-  const linalg::Matrix a = g.normalized_matrix();
   const linalg::PowerMethodOptions power;
-  const linalg::PowerMethodResult lit = linalg::power_method(a, power);
-  const linalg::PowerMethodResult rob = robust_power_method(
-      a, std::vector<double>(8, 1.0), power, RowAggregation::Sum, 0.2, 3);
+  const linalg::PowerMethodResult lit =
+      linalg::power_method(testing::dense_normalized(g), power);
+  const linalg::PowerMethodResult rob =
+      robust_power_method(g.normalized_sparse(), std::vector<double>(8, 1.0),
+                          power, RowAggregation::Sum, 0.2, 3);
   ASSERT_EQ(lit.eigenvector.size(), rob.eigenvector.size());
   for (std::size_t i = 0; i < lit.eigenvector.size(); ++i) {
     EXPECT_EQ(lit.eigenvector[i], rob.eigenvector[i]);
@@ -138,7 +140,7 @@ TEST(RobustPowerMethodTest, UnitWeightsSumMatchesLinalgKernel) {
 TEST(RobustPowerMethodTest, ValidatesInputs) {
   util::Xoshiro256 rng(1);
   const TrustGraph g = no_dangling_graph(4, rng);
-  const linalg::Matrix a = g.normalized_matrix();
+  const linalg::SparseMatrix a = g.normalized_sparse();
   const linalg::PowerMethodOptions power;
   // Wrong weight count.
   EXPECT_THROW((void)robust_power_method(a, std::vector<double>(3, 1.0),
@@ -167,8 +169,7 @@ TEST(ConsensusOpinionsTest, MedianOfClampedReports) {
   g.set_trust(0, 3, 0.2);
   g.set_trust(1, 3, 0.4);
   g.set_trust(2, 3, 5.0);  // clamps to 1.0
-  const std::vector<std::size_t> members = {0, 1, 2, 3};
-  const std::vector<double> c = consensus_opinions(g, members);
+  const std::vector<double> c = consensus_opinions(g.raw_sparse());
   ASSERT_EQ(c.size(), 4u);
   EXPECT_DOUBLE_EQ(c[3], 0.4);  // median of {0.2, 0.4, 1.0}
   // Nobody rates members 0-2: consensus undefined.
@@ -185,8 +186,8 @@ TEST(RaterCredibilityTest, DeviantRaterLosesWeight) {
   g.set_trust(1, 4, 0.8);
   g.set_trust(2, 4, 0.8);
   g.set_trust(3, 4, 0.05);
-  const std::vector<std::size_t> members = {0, 1, 2, 3, 4};
-  const std::vector<double> w = rater_credibility(g, members, 6.0);
+  const linalg::SparseMatrix raw = g.raw_sparse();
+  const std::vector<double> w = rater_credibility(raw, 6.0);
   ASSERT_EQ(w.size(), 5u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_GT(w[i], w[3]);
@@ -195,7 +196,7 @@ TEST(RaterCredibilityTest, DeviantRaterLosesWeight) {
   EXPECT_LT(w[3], 0.1);  // exp(-6 * 0.75) ~= 0.011
   EXPECT_DOUBLE_EQ(w[4], 1.0);  // rates nobody: keeps full weight
   // strength = 0 neutralizes the layer entirely.
-  for (const double v : rater_credibility(g, members, 0.0)) {
+  for (const double v : rater_credibility(raw, 0.0)) {
     EXPECT_DOUBLE_EQ(v, 1.0);
   }
 }

@@ -1,9 +1,9 @@
-/// The storage-polymorphism contract of DESIGN.md §4i: the CSR trust
-/// backend is an implementation detail — dense and sparse engines
-/// produce bit-identical reputations (standard, coalition and robust),
-/// bit-identical mechanism outcomes (VO, cost, RNG probe), and the
-/// attack-resilience properties survive the backend switch. Plus the
-/// TrustGraph identity/version/delta bookkeeping and the incremental
+/// The storage contract of DESIGN.md §4i: the engine solves on CSR, and
+/// CSR is an implementation detail — on random inputs it reproduces the
+/// dense reference pipeline of tests/trust/dense_reference.hpp bit for
+/// bit (standard, coalition and robust paths), and the attack-resilience
+/// properties proven on dense matrices carry over. Plus the TrustGraph
+/// identity/version/delta bookkeeping and the incremental
 /// ReputationCache the streaming plane builds on.
 #include "trust/reputation.hpp"
 
@@ -11,11 +11,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/mechanism.hpp"
 #include "core/tvof.hpp"
 #include "ip/bnb.hpp"
+#include "obs/trace.hpp"
 #include "tests/ip/test_instances.hpp"
+#include "tests/trust/dense_reference.hpp"
 #include "trust/attack.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -23,11 +26,8 @@
 namespace svo::trust {
 namespace {
 
-ReputationOptions with_backend(TrustBackend backend) {
-  ReputationOptions o;
-  o.backend = backend;
-  return o;
-}
+using testing::dense_normalized;
+using testing::dense_reputation;
 
 void expect_bitwise_equal(const ReputationResult& a, const ReputationResult& b,
                           const char* label) {
@@ -46,7 +46,7 @@ TEST(TrustGraphSparseTest, NormalizedSparseMatchesDenseBitwise) {
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t n = 2 + rng.index(50);
     const TrustGraph g = random_trust_graph(n, rng.uniform(0.05, 0.5), rng);
-    const linalg::Matrix dense = g.normalized_matrix();
+    const linalg::Matrix dense = dense_normalized(g);
     const linalg::Matrix sparse = g.normalized_sparse().to_dense();
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
@@ -58,7 +58,7 @@ TEST(TrustGraphSparseTest, NormalizedSparseMatchesDenseBitwise) {
     for (std::size_t i = 0; i < n; ++i) {
       if (rng.bernoulli(0.6)) members.push_back(i);
     }
-    const linalg::Matrix dc = g.normalized_matrix(members);
+    const linalg::Matrix dc = dense_normalized(g, members);
     const linalg::Matrix sc = g.normalized_sparse(members).to_dense();
     for (std::size_t i = 0; i < members.size(); ++i) {
       for (std::size_t j = 0; j < members.size(); ++j) {
@@ -86,56 +86,50 @@ TEST(TrustGraphSparseTest, RawSparseHoldsUnnormalizedTrust) {
   EXPECT_EQ(coalition.nnz(), 2u);
 }
 
-/// Dense and sparse engines agree bitwise on every path: full graph,
-/// coalition, and the robust (defended) pipeline, across thread counts.
+/// The CSR engine agrees bitwise with the dense reference on every path:
+/// full graph, coalition, and the robust (defended) pipeline under each
+/// aggregation, with credibility weighting on and off and two quarantined
+/// identities — serial and pooled.
 TEST(DenseSparseEquivalenceTest, AllPathsBitIdentical) {
   util::Xoshiro256 rng(4242);
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t n = 3 + rng.index(48);
     const TrustGraph g = random_trust_graph(n, rng.uniform(0.08, 0.4), rng);
 
-    ReputationOptions dense_o = with_backend(TrustBackend::Dense);
-    ReputationOptions sparse_o = with_backend(TrustBackend::Sparse);
-    sparse_o.power.threads = 3;  // pooled path must agree too
+    ReputationOptions o;
+    ReputationOptions pooled;
+    pooled.power.threads = 3;  // pooled path must agree too
 
-    expect_bitwise_equal(ReputationEngine(dense_o).compute(g),
-                         ReputationEngine(sparse_o).compute(g), "full graph");
+    expect_bitwise_equal(dense_reputation(g, o), ReputationEngine(o).compute(g),
+                         "full graph");
+    expect_bitwise_equal(dense_reputation(g, o),
+                         ReputationEngine(pooled).compute(g),
+                         "full graph, pooled");
 
     std::vector<std::size_t> members;
     for (std::size_t i = 0; i < n; ++i) {
       if (rng.bernoulli(0.5)) members.push_back(i);
     }
-    expect_bitwise_equal(ReputationEngine(dense_o).compute(g, members),
-                         ReputationEngine(sparse_o).compute(g, members),
-                         "coalition");
+    expect_bitwise_equal(dense_reputation(g, members, o),
+                         ReputationEngine(o).compute(g, members), "coalition");
 
-    for (const RowAggregation agg :
-         {RowAggregation::Sum, RowAggregation::TrimmedMean,
-          RowAggregation::MedianOfMeans}) {
-      dense_o.robust.enabled = sparse_o.robust.enabled = true;
-      dense_o.robust.aggregation = sparse_o.robust.aggregation = agg;
-      dense_o.robust.fresh = sparse_o.robust.fresh = {0, n / 2};
-      expect_bitwise_equal(ReputationEngine(dense_o).compute(g),
-                           ReputationEngine(sparse_o).compute(g),
-                           "robust full graph");
-      expect_bitwise_equal(ReputationEngine(dense_o).compute(g, members),
-                           ReputationEngine(sparse_o).compute(g, members),
-                           "robust coalition");
+    o.robust.enabled = true;
+    o.robust.fresh = {0, n / 2};
+    for (const bool credibility : {true, false}) {
+      for (const RowAggregation agg :
+           {RowAggregation::Sum, RowAggregation::TrimmedMean,
+            RowAggregation::MedianOfMeans}) {
+        o.robust.credibility_weighting = credibility;
+        o.robust.aggregation = agg;
+        expect_bitwise_equal(dense_reputation(g, o),
+                             ReputationEngine(o).compute(g),
+                             "robust full graph");
+        expect_bitwise_equal(dense_reputation(g, members, o),
+                             ReputationEngine(o).compute(g, members),
+                             "robust coalition");
+      }
     }
   }
-}
-
-/// Auto backend: at or below the threshold the dense path runs; above it
-/// the sparse path runs; either way the scores are the same bits.
-TEST(DenseSparseEquivalenceTest, AutoThresholdIsInvisible) {
-  util::Xoshiro256 rng(31337);
-  const TrustGraph g = random_trust_graph(40, 0.2, rng);
-  ReputationOptions below = with_backend(TrustBackend::Auto);
-  below.sparse_threshold = 64;  // 40 <= 64: dense
-  ReputationOptions above = with_backend(TrustBackend::Auto);
-  above.sparse_threshold = 8;  // 40 > 8: sparse
-  expect_bitwise_equal(ReputationEngine(below).compute(g),
-                       ReputationEngine(above).compute(g), "auto threshold");
 }
 
 TEST(TrustGraphVersionTest, VersionCountsEffectiveMutationsOnly) {
@@ -198,7 +192,7 @@ TEST(ReputationCacheTest, ExactHitIsBitIdenticalAndSkipsRecompute) {
   util::Xoshiro256 rng(808);
   const TrustGraph g = random_sparse_trust_graph(300, 6, rng);
   ReputationCache cache;
-  ReputationOptions o = with_backend(TrustBackend::Sparse);
+  ReputationOptions o;
   o.cache = &cache;
   const ReputationEngine engine(o);
 
@@ -209,16 +203,47 @@ TEST(ReputationCacheTest, ExactHitIsBitIdenticalAndSkipsRecompute) {
   expect_bitwise_equal(first, second, "exact hit");
 
   // And identical to a cache-less engine: the cache is invisible.
-  ReputationOptions plain = with_backend(TrustBackend::Sparse);
-  expect_bitwise_equal(ReputationEngine(plain).compute(g), first,
+  expect_bitwise_equal(ReputationEngine().compute(g), first,
                        "cacheless equivalence");
+}
+
+/// Tracing on: an exact hit ran no power iteration, so it must count
+/// only as a cache hit — the reputation counters keep matching the work
+/// the sparse kernel actually did.
+TEST(ReputationCacheTest, ExactHitRecordsNoComputeWork) {
+  obs::Recorder& recorder = obs::Recorder::instance();
+  recorder.clear();
+  recorder.enable();
+  util::Xoshiro256 rng(909);
+  const TrustGraph g = random_sparse_trust_graph(200, 5, rng);
+  ReputationCache cache;
+  ReputationOptions o;
+  o.cache = &cache;
+  const ReputationEngine engine(o);
+  (void)engine.compute(g);  // cold
+  (void)engine.compute(g);  // exact hit
+  obs::MetricRegistry& m = recorder.metrics();
+  const std::uint64_t reputation_iterations =
+      m.counter("trust.reputation.power_iterations").value();
+  const std::uint64_t kernel_iterations =
+      m.counter("linalg.sparse_power.iterations").value();
+  const std::uint64_t computes = m.counter("trust.reputation.computes").value();
+  const std::uint64_t hits = m.counter("trust.reputation.cache_exact_hits").value();
+  recorder.disable();
+  recorder.clear();
+
+  EXPECT_EQ(cache.stats().exact_hits, 1u);
+  EXPECT_GT(kernel_iterations, 0u);
+  EXPECT_EQ(reputation_iterations, kernel_iterations);
+  EXPECT_EQ(computes, 1u);
+  EXPECT_EQ(hits, 1u);
 }
 
 TEST(ReputationCacheTest, SmallDeltaWarmStartsLargeDeltaColdStarts) {
   util::Xoshiro256 rng(606);
   TrustGraph g = random_sparse_trust_graph(2000, 10, rng);
   ReputationCache cache;
-  ReputationOptions o;  // Auto resolves sparse at n=2000
+  ReputationOptions o;
   o.cache = &cache;
   o.warm_max_delta = 16;
   const ReputationEngine engine(o);
@@ -254,7 +279,7 @@ TEST(ReputationCacheTest, OptionsChangeAndForeignGraphMiss) {
   const TrustGraph g = random_sparse_trust_graph(200, 5, rng);
   const TrustGraph other = random_sparse_trust_graph(200, 5, rng);
   ReputationCache cache;
-  ReputationOptions o = with_backend(TrustBackend::Sparse);
+  ReputationOptions o;
   o.cache = &cache;
   (void)ReputationEngine(o).compute(g);
   // Different graph object: the uid mismatch forces a cold start.
@@ -279,9 +304,34 @@ TEST(ReputationCacheTest, RobustPipelineRejectsCache) {
   EXPECT_THROW((void)ReputationEngine(o).compute(g), InvalidArgument);
 }
 
-/// Mechanism-level acceptance: forcing the sparse backend through the
-/// whole TVOF loop yields a bit-identical VO, cost, journal and RNG
-/// probe — the backend cannot leak into mechanism outcomes.
+/// TVOF's removal rule (lowest reputation, ties within 1e-12 broken
+/// uniformly at random) applied to the dense reference's coalition
+/// reputations instead of the engine's.
+class DenseReferenceTvof final : public core::VoFormationMechanism {
+ public:
+  using VoFormationMechanism::VoFormationMechanism;
+  [[nodiscard]] std::string name() const override { return "TVOF-dense"; }
+
+ protected:
+  [[nodiscard]] std::size_t choose_removal(
+      const TrustGraph& trust, const std::vector<std::size_t>& members,
+      const std::vector<double>& /*scores*/,
+      util::Xoshiro256& rng) const override {
+    const std::vector<double> scores =
+        dense_reputation(trust, members, config().reputation).scores;
+    double lowest = std::numeric_limits<double>::infinity();
+    for (const double s : scores) lowest = std::min(lowest, s);
+    std::vector<std::size_t> ties;
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      if (scores[i] <= lowest + 1e-12) ties.push_back(i);
+    }
+    return ties[ties.size() == 1 ? 0 : rng.index(ties.size())];
+  }
+};
+
+/// Mechanism-level acceptance: TVOF driven by the dense reference's
+/// reputations yields a bit-identical VO, cost, journal and RNG probe —
+/// the CSR storage cannot leak into mechanism outcomes.
 TEST(DenseSparseEquivalenceTest, MechanismOutcomesBitIdentical) {
   const ip::BnbAssignmentSolver solver;
   for (const std::uint64_t seed : {5u, 29u, 71u}) {
@@ -290,13 +340,8 @@ TEST(DenseSparseEquivalenceTest, MechanismOutcomesBitIdentical) {
         ip::testing::random_instance(8, 16, setup);
     const TrustGraph trust = random_trust_graph(8, 0.4, setup);
 
-    core::MechanismConfig dense_cfg;
-    dense_cfg.reputation.backend = TrustBackend::Dense;
-    core::MechanismConfig sparse_cfg;
-    sparse_cfg.reputation.backend = TrustBackend::Sparse;
-    const core::TvofMechanism dense_mech(solver, dense_cfg);
-    const core::TvofMechanism sparse_mech(solver, sparse_cfg);
-
+    const DenseReferenceTvof dense_mech(solver, {});
+    const core::TvofMechanism sparse_mech(solver);
     util::Xoshiro256 rng_dense(seed * 17 + 1);
     util::Xoshiro256 rng_sparse(seed * 17 + 1);
     const core::MechanismResult d =
@@ -309,11 +354,10 @@ TEST(DenseSparseEquivalenceTest, MechanismOutcomesBitIdentical) {
     EXPECT_EQ(s.mapping, d.mapping);
     EXPECT_EQ(s.cost, d.cost);
     EXPECT_EQ(s.value, d.value);
-    ASSERT_EQ(s.global_reputation.size(), d.global_reputation.size());
-    for (std::size_t i = 0; i < d.global_reputation.size(); ++i) {
-      EXPECT_EQ(s.global_reputation[i], d.global_reputation[i]);
-    }
+    EXPECT_EQ(s.global_reputation,
+              dense_reputation(trust, sparse_mech.config().reputation).scores);
     ASSERT_EQ(s.journal.size(), d.journal.size());
+    EXPECT_GT(s.journal.size(), 2u);  // several removals were compared
     for (std::size_t i = 0; i < d.journal.size(); ++i) {
       EXPECT_EQ(s.journal[i].coalition.bits(), d.journal[i].coalition.bits());
       EXPECT_EQ(s.journal[i].cost, d.journal[i].cost);
@@ -324,10 +368,9 @@ TEST(DenseSparseEquivalenceTest, MechanismOutcomesBitIdentical) {
   }
 }
 
-/// The PR 3 attack harness must hold on the sparse path: attacks are
-/// injected identically, and the defended engine scores the attacked
-/// graph bit-identically on either backend — so every resilience
-/// property proven dense transfers verbatim.
+/// The attack harness holds on the CSR engine: the defended engine scores
+/// each attacked graph bit-identically to the dense reference, so every
+/// resilience property proven on dense matrices transfers verbatim.
 TEST(DenseSparseEquivalenceTest, AttackHarnessTransfersToSparseBackend) {
   for (const AttackType type :
        {AttackType::Badmouthing, AttackType::BallotStuffing,
@@ -343,13 +386,10 @@ TEST(DenseSparseEquivalenceTest, AttackHarnessTransfersToSparseBackend) {
     const AttackInjector injector(s, 24);
     (void)injector.apply(g, 0);
 
-    ReputationOptions dense_o = with_backend(TrustBackend::Dense);
-    ReputationOptions sparse_o = with_backend(TrustBackend::Sparse);
-    dense_o.robust.enabled = sparse_o.robust.enabled = true;
-    dense_o.robust.fresh = sparse_o.robust.fresh =
-        injector.fresh_identities(0, 2);
-    expect_bitwise_equal(ReputationEngine(dense_o).compute(g),
-                         ReputationEngine(sparse_o).compute(g),
+    ReputationOptions o;
+    o.robust.enabled = true;
+    o.robust.fresh = injector.fresh_identities(0, 2);
+    expect_bitwise_equal(dense_reputation(g, o), ReputationEngine(o).compute(g),
                          "defended attacked graph");
   }
 }

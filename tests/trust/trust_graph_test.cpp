@@ -35,12 +35,12 @@ TEST(TrustGraphTest, NormalizedMatrixRowsSumToOneOrZero) {
   g.set_trust(0, 1, 2.0);
   g.set_trust(0, 2, 6.0);
   g.set_trust(1, 0, 1.0);
-  const linalg::Matrix a = g.normalized_matrix();
-  EXPECT_DOUBLE_EQ(a(0, 1), 0.25);  // eq. (1)
-  EXPECT_DOUBLE_EQ(a(0, 2), 0.75);
-  EXPECT_DOUBLE_EQ(a(1, 0), 1.0);
-  // GSP 2 trusts nobody: all-zero row.
-  for (std::size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(a(2, j), 0.0);
+  const linalg::SparseMatrix a = g.normalized_sparse();
+  EXPECT_DOUBLE_EQ(a.at(0, 1), 0.25);  // eq. (1)
+  EXPECT_DOUBLE_EQ(a.at(0, 2), 0.75);
+  EXPECT_DOUBLE_EQ(a.at(1, 0), 1.0);
+  // GSP 2 trusts nobody: an empty (all-zero) row.
+  EXPECT_TRUE(a.row(2).empty());
 }
 
 TEST(TrustGraphTest, CoalitionNormalizationExcludesOutsiders) {
@@ -50,17 +50,17 @@ TEST(TrustGraphTest, CoalitionNormalizationExcludesOutsiders) {
   g.set_trust(0, 1, 1.0);
   g.set_trust(0, 2, 3.0);
   g.set_trust(1, 0, 2.0);
-  const linalg::Matrix a = g.normalized_matrix({0, 1});
+  const linalg::SparseMatrix a = g.normalized_sparse({0, 1});
   EXPECT_EQ(a.rows(), 2u);
-  EXPECT_DOUBLE_EQ(a(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(a(1, 0), 1.0);
+  EXPECT_DOUBLE_EQ(a.at(0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(a.at(1, 0), 1.0);
 }
 
 TEST(TrustGraphTest, CoalitionMembersMustBeSortedUnique) {
   TrustGraph g(3);
-  EXPECT_THROW((void)g.normalized_matrix({1, 0}), InvalidArgument);
-  EXPECT_THROW((void)g.normalized_matrix({0, 0}), InvalidArgument);
-  EXPECT_THROW((void)g.normalized_matrix({0, 7}), InvalidArgument);
+  EXPECT_THROW((void)g.normalized_sparse({1, 0}), InvalidArgument);
+  EXPECT_THROW((void)g.normalized_sparse({0, 0}), InvalidArgument);
+  EXPECT_THROW((void)g.normalized_sparse({0, 7}), InvalidArgument);
 }
 
 TEST(TrustGraphTest, RecordInteractionEwma) {
