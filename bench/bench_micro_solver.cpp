@@ -1,8 +1,8 @@
 /// \file bench_micro_solver.cpp
 /// Microbenchmarks of the assignment solvers replacing CPLEX: greedy
-/// construction + local search, the specialized B&B, and the literal
-/// LP-relaxation B&B, across instance sizes. Counters report solution
-/// cost so quality/time trade-offs are visible in one run.
+/// construction + local search (standalone and as a polish step) and the
+/// specialized B&B, across instance sizes. Counters report solution cost
+/// so quality/time trade-offs are visible in one run.
 ///
 /// After the google-benchmark suite, main() runs the warm-vs-cold
 /// mechanism-loop comparison (shrinking-coalition TVOF under
@@ -16,10 +16,8 @@
 
 #include "bench/common.hpp"
 #include "core/tvof.hpp"
-#include "ip/annealing.hpp"
 #include "ip/bnb.hpp"
 #include "ip/greedy.hpp"
-#include "ip/lp_bnb.hpp"
 #include "trust/trust_graph.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -88,33 +86,6 @@ void BM_BnbSolverExactSmall(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BnbSolverExactSmall)->Arg(6)->Arg(10)->Arg(14);
-
-void BM_LpBnbSolverLiteral(benchmark::State& state) {
-  // The literal eqs. (9)-(14) formulation; only viable on small models.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const ip::AssignmentInstance inst = make_instance(3, n, 11);
-  const ip::LpBnbAssignmentSolver solver;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(inst));
-  }
-}
-BENCHMARK(BM_LpBnbSolverLiteral)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_AnnealingSolver(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const ip::AssignmentInstance inst = make_instance(16, n, 7);
-  ip::AnnealingOptions opts;
-  opts.iterations = 30'000;
-  const ip::AnnealingAssignmentSolver solver(opts);
-  double cost = 0.0;
-  for (auto _ : state) {
-    const ip::AssignmentSolution sol = solver.solve(inst);
-    cost = sol.cost;
-    benchmark::DoNotOptimize(sol);
-  }
-  state.counters["cost"] = cost;
-}
-BENCHMARK(BM_AnnealingSolver)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_LocalSearchPolish(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -47,22 +47,4 @@ SampledShapley shapley_value_sampled(std::size_t m, const ValueOracle& v,
   return out;
 }
 
-std::vector<double> banzhaf_index(std::size_t m, const ValueOracle& v) {
-  detail::require(m > 0 && m <= 20, "banzhaf_index: m must be in [1,20]");
-  std::vector<double> beta(m, 0.0);
-  const std::uint64_t full = Coalition::all(m).bits();
-  for (std::uint64_t s = 0;; ++s) {
-    const Coalition base(s);
-    const double vs = v(base);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (base.contains(i)) continue;
-      beta[i] += v(base.with(i)) - vs;
-    }
-    if (s == full) break;
-  }
-  const double scale = std::ldexp(1.0, -static_cast<int>(m - 1));  // 2^-(m-1)
-  for (double& b : beta) b *= scale;
-  return beta;
-}
-
 }  // namespace svo::game

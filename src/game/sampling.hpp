@@ -1,13 +1,8 @@
 /// \file sampling.hpp
-/// Approximate and alternative power/payoff indices:
-///  - Monte-Carlo Shapley value (Castro et al.-style permutation
-///    sampling), usable at the paper's m = 16 where the exact O(2^m)
-///    computation needs 65k IP solves;
-///  - exact Banzhaf index, the other classical marginal-contribution
-///    index, for the payoff-division ablation.
+/// Monte-Carlo Shapley value (Castro et al.-style permutation sampling),
+/// usable at the paper's m = 16 where the exact O(2^m) computation needs
+/// 65k IP solves.
 #pragma once
-
-#include <cstdint>
 
 #include "game/payoff.hpp"
 #include "util/rng.hpp"
@@ -32,11 +27,5 @@ struct SampledShapley {
                                                    const ValueOracle& v,
                                                    std::size_t permutations,
                                                    util::Xoshiro256& rng);
-
-/// Exact (raw, non-normalized) Banzhaf index:
-///   beta_i = 2^-(m-1) * sum_{S not containing i} (v(S+i) - v(S)).
-/// Requires m in [1, 20] (2^m oracle calls — memoize the oracle).
-[[nodiscard]] std::vector<double> banzhaf_index(std::size_t m,
-                                                const ValueOracle& v);
 
 }  // namespace svo::game

@@ -7,7 +7,6 @@
 #include "ip/greedy.hpp"
 #include "ip/warm_start.hpp"
 #include "obs/trace.hpp"
-#include "util/timer.hpp"
 
 namespace svo::ip {
 
@@ -84,15 +83,6 @@ class Search {
   [[nodiscard]] double root_bound() const noexcept { return suffix_min_[0]; }
 
  private:
-  bool budget_exhausted() {
-    if (nodes_ >= opts_.max_nodes) return true;
-    if (opts_.time_limit_seconds > 0.0 && (nodes_ & 1023U) == 0 &&
-        timer_.seconds() > opts_.time_limit_seconds) {
-      return true;
-    }
-    return false;
-  }
-
   void dfs(std::size_t depth, double cost_so_far) {
     if (truncated_) return;
     if (depth == n_) {
@@ -123,7 +113,7 @@ class Search {
       if (remaining_after < empties_after) continue;  // (13) unreachable
 
       ++nodes_;
-      if (budget_exhausted()) {
+      if (nodes_ >= opts_.max_nodes) {
         truncated_ = true;
         return;
       }
@@ -155,7 +145,6 @@ class Search {
   bool truncated_ = false;
   std::size_t nodes_ = 0;
   std::size_t incumbent_updates_ = 0;
-  util::WallTimer timer_;
 };
 
 }  // namespace

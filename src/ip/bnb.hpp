@@ -2,7 +2,7 @@
 /// Specialized depth-first branch-and-bound for the task assignment IP
 /// (9)-(14) — the workhorse behind TVOF's "IP-B&B" step (Algorithm 1,
 /// line 5). Exact with proof on small instances; anytime (greedy-seeded,
-/// node/time budgeted) at paper scale. See DESIGN.md §1 and §4.4.
+/// node-budgeted) at paper scale. See DESIGN.md §1 and §4.4.
 ///
 /// Search organization:
 ///  - tasks are branched in descending static-regret order;
@@ -30,8 +30,6 @@ struct BnbOptions {
   /// that exhaust within the reduced budget (the exact regime) are
   /// bit-identical to cold; truncated ones keep the warm incumbent.
   std::size_t warm_max_nodes = 0;
-  /// Wall-clock budget in seconds; 0 disables the check.
-  double time_limit_seconds = 0.0;
   /// Seed the incumbent with greedy construction + local search.
   bool seed_with_greedy = true;
   /// Local-search options used to polish the greedy seed.

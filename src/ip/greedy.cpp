@@ -117,8 +117,8 @@ Assignment greedy_construct(const AssignmentInstance& inst,
 AssignmentSolution GreedyAssignmentSolver::solve(
     const AssignmentInstance& inst) const {
   AssignmentSolution sol;
-  Assignment a = greedy_construct(inst, opts_.order);
-  if (a.empty() && opts_.order == GreedyOptions::Order::RegretDescending) {
+  Assignment a = greedy_construct(inst, GreedyOptions::Order::RegretDescending);
+  if (a.empty()) {
     // Second chance with the other ordering: different orders fail on
     // different tight instances.
     a = greedy_construct(inst, GreedyOptions::Order::TimeDescending);
@@ -127,8 +127,7 @@ AssignmentSolution GreedyAssignmentSolver::solve(
     sol.stats.status = AssignStatus::Unknown;
     return sol;
   }
-  double cost = assignment_cost(inst, a);
-  if (opts_.polish) cost = local_search(inst, a, opts_.local_search);
+  const double cost = local_search(inst, a, opts_.local_search);
   if (cost > inst.payment + 1e-9) {
     // Heuristic could not get under the payment cap; inconclusive.
     sol.stats.status = AssignStatus::Unknown;

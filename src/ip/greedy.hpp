@@ -17,15 +17,15 @@ struct GreedyOptions {
     RegretDescending,  ///< By cost spread between two cheapest GSPs.
     TimeDescending,    ///< Hardest (longest) tasks first (best-fit-decreasing).
   };
-  Order order = Order::RegretDescending;
-  /// Polish the constructed assignment with local search.
-  bool polish = true;
+  /// Local-search options used to polish the constructed assignment.
   LocalSearchOptions local_search;
 };
 
-/// Greedy + local search. Status is Feasible when a constraint-satisfying
-/// assignment is found, Unknown otherwise (a heuristic can never prove
-/// infeasibility). Never reports Optimal.
+/// Greedy + local search: constructs in RegretDescending order, retries
+/// in TimeDescending order when that fails, then polishes. Status is
+/// Feasible when a constraint-satisfying assignment is found, Unknown
+/// otherwise (a heuristic can never prove infeasibility). Never reports
+/// Optimal.
 class GreedyAssignmentSolver final : public AssignmentSolver {
  public:
   explicit GreedyAssignmentSolver(GreedyOptions opts = {}) : opts_(opts) {}

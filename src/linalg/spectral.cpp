@@ -1,31 +1,8 @@
 #include "linalg/spectral.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace svo::linalg {
-
-GershgorinBounds gershgorin_bounds(const Matrix& a) {
-  detail::require(a.rows() == a.cols(),
-                  "gershgorin_bounds: matrix must be square");
-  GershgorinBounds b;
-  if (a.rows() == 0) return b;
-  b.lower = std::numeric_limits<double>::infinity();
-  b.upper = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double radius = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      if (j != i) radius += std::abs(a(i, j));
-    }
-    const double center = a(i, i);
-    b.lower = std::min(b.lower, center - radius);
-    b.upper = std::max(b.upper, center + radius);
-    b.spectral_radius_bound =
-        std::max(b.spectral_radius_bound, std::abs(center) + radius);
-  }
-  return b;
-}
 
 double left_eigenpair_residual(const Matrix& a, std::span<const double> x,
                                double lambda) {

@@ -1,27 +1,12 @@
 /// \file spectral.hpp
-/// Spectral diagnostics for the reputation engine: Gershgorin disc
-/// bounds on eigenvalue magnitudes (a priori convergence sanity) and
-/// eigenpair residuals (a posteriori verification that the power method
-/// returned a genuine eigenvector).
+/// Spectral diagnostics for the reputation engine: the eigenpair
+/// residual that verifies a posteriori that the power method returned a
+/// genuine eigenvector (the eq. (6) certificate).
 #pragma once
 
 #include "linalg/matrix.hpp"
 
 namespace svo::linalg {
-
-/// Interval guaranteed to contain every eigenvalue's real part by the
-/// Gershgorin circle theorem (discs centered at a_ii with radius the
-/// off-diagonal absolute row sum).
-struct GershgorinBounds {
-  double lower = 0.0;  ///< min over rows of (a_ii - radius_i)
-  double upper = 0.0;  ///< max over rows of (a_ii + radius_i)
-  /// Upper bound on the spectral radius: max |a_ii| + radius_i.
-  double spectral_radius_bound = 0.0;
-};
-
-/// Compute Gershgorin bounds for a square matrix. Throws InvalidArgument
-/// on non-square input; an empty matrix yields all-zero bounds.
-[[nodiscard]] GershgorinBounds gershgorin_bounds(const Matrix& a);
 
 /// Residual ||A^T x - lambda x||_1 of a claimed left eigenpair — the
 /// quantity that certifies a reputation vector. Sizes must agree.

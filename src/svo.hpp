@@ -28,7 +28,6 @@
 #include "graph/centrality.hpp"  // IWYU pragma: export
 #include "graph/digraph.hpp"     // IWYU pragma: export
 #include "graph/generators.hpp"  // IWYU pragma: export
-#include "graph/scc.hpp"         // IWYU pragma: export
 
 #include "lp/problem.hpp"  // IWYU pragma: export
 #include "lp/simplex.hpp"  // IWYU pragma: export
@@ -37,12 +36,10 @@
 #include "des/network.hpp"      // IWYU pragma: export
 
 #include "ip/assignment.hpp"    // IWYU pragma: export
-#include "ip/annealing.hpp"     // IWYU pragma: export
 #include "ip/bnb.hpp"           // IWYU pragma: export
 #include "ip/dag.hpp"           // IWYU pragma: export
 #include "ip/greedy.hpp"        // IWYU pragma: export
 #include "ip/local_search.hpp"  // IWYU pragma: export
-#include "ip/lp_bnb.hpp"        // IWYU pragma: export
 #include "ip/task_orders.hpp"   // IWYU pragma: export
 #include "ip/warm_start.hpp"    // IWYU pragma: export
 
@@ -52,7 +49,6 @@
 #include "trace/swf.hpp"          // IWYU pragma: export
 
 #include "workload/braun.hpp"         // IWYU pragma: export
-#include "workload/etc.hpp"           // IWYU pragma: export
 #include "workload/instance_gen.hpp"  // IWYU pragma: export
 #include "workload/params.hpp"        // IWYU pragma: export
 

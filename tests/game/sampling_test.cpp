@@ -71,37 +71,5 @@ TEST(SampledShapleyTest, ValidatesArguments) {
   EXPECT_THROW((void)shapley_value_sampled(3, v, 0, rng), InvalidArgument);
 }
 
-TEST(BanzhafTest, GloveGameKnownValues) {
-  // Swings: player 0 swings in {1},{2},{1,2} -> beta_0 = 3/4;
-  // players 1, 2 swing in {0} only -> 1/4.
-  const std::vector<double> beta = banzhaf_index(3, glove_game);
-  EXPECT_NEAR(beta[0], 0.75, 1e-12);
-  EXPECT_NEAR(beta[1], 0.25, 1e-12);
-  EXPECT_NEAR(beta[2], 0.25, 1e-12);
-}
-
-TEST(BanzhafTest, SymmetricPlayersEqualIndex) {
-  const auto v = [](Coalition s) { return s.size() >= 3 ? 1.0 : 0.0; };
-  const std::vector<double> beta = banzhaf_index(5, v);
-  for (std::size_t i = 1; i < 5; ++i) {
-    EXPECT_DOUBLE_EQ(beta[i], beta[0]);
-  }
-  EXPECT_GT(beta[0], 0.0);
-}
-
-TEST(BanzhafTest, DummyPlayerZero) {
-  const auto v = [](Coalition s) { return s.contains(0) ? 4.0 : 0.0; };
-  const std::vector<double> beta = banzhaf_index(3, v);
-  EXPECT_DOUBLE_EQ(beta[0], 4.0);
-  EXPECT_DOUBLE_EQ(beta[1], 0.0);
-  EXPECT_DOUBLE_EQ(beta[2], 0.0);
-}
-
-TEST(BanzhafTest, ValidatesArguments) {
-  const auto v = [](Coalition) { return 0.0; };
-  EXPECT_THROW((void)banzhaf_index(0, v), InvalidArgument);
-  EXPECT_THROW((void)banzhaf_index(21, v), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace svo::game

@@ -115,30 +115,19 @@ TEST(BnbTest, LowerBoundNeverExceedsOptimum) {
   }
 }
 
-TEST(BnbTest, WallClockBudgetTruncatesSearch) {
-  // A huge instance with a microscopic time budget and no greedy seed:
-  // the search must stop early and report honestly (no incumbent, no
-  // proof) instead of running for seconds.
-  util::Xoshiro256 rng(23);
-  const AssignmentInstance inst = testing::random_instance(8, 2000, rng);
-  BnbOptions opts;
-  opts.max_nodes = SIZE_MAX;  // only the clock limits it
-  opts.time_limit_seconds = 1e-4;
-  opts.seed_with_greedy = false;
-  const AssignmentSolution sol = BnbAssignmentSolver(opts).solve(inst);
-  EXPECT_TRUE(sol.stats.status == AssignStatus::Unknown ||
-              sol.stats.status == AssignStatus::Feasible);
-  EXPECT_LT(sol.stats.nodes, SIZE_MAX);
-}
-
 /// The central correctness property: exact B&B == exhaustive enumeration,
 /// across many random instances including tight (often infeasible) ones.
+/// Parameters 1..40 draw 2..3 GSPs; from kFourGspParam on, 4 GSPs.
 class BnbBruteForceTest : public ::testing::TestWithParam<int> {};
+
+constexpr int kFourGspParam = 41;
 
 TEST_P(BnbBruteForceTest, MatchesBruteForce) {
   util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 7919);
-  const std::size_t k = 2 + rng.index(2);   // 2..3 GSPs
-  const std::size_t n = k + rng.index(5);   // k..k+4 tasks
+  const bool four_gsps = GetParam() >= kFourGspParam;
+  const std::size_t k = four_gsps ? 4 : 2 + rng.index(2);
+  // k..k+4 tasks for 2..3 GSPs, 4..7 (at most 4^7 leaves) for 4.
+  const std::size_t n = k + rng.index(four_gsps ? 4 : 5);
   const AssignmentInstance inst =
       testing::random_instance(k, n, rng, /*tight=*/GetParam() % 2 == 0);
   const auto oracle = testing::brute_force_optimum(inst);
@@ -154,7 +143,9 @@ TEST_P(BnbBruteForceTest, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, BnbBruteForceTest,
-                         ::testing::Range(1, 41));
+                         ::testing::Range(1, kFourGspParam));
+INSTANTIATE_TEST_SUITE_P(FourGsps, BnbBruteForceTest,
+                         ::testing::Range(kFourGspParam, kFourGspParam + 20));
 
 }  // namespace
 }  // namespace svo::ip

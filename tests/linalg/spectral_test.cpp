@@ -8,40 +8,6 @@
 namespace svo::linalg {
 namespace {
 
-TEST(GershgorinTest, DiagonalMatrixBoundsAreEigenvalues) {
-  Matrix a(3, 3);
-  a(0, 0) = 1.0;
-  a(1, 1) = -2.0;
-  a(2, 2) = 5.0;
-  const GershgorinBounds b = gershgorin_bounds(a);
-  EXPECT_DOUBLE_EQ(b.lower, -2.0);
-  EXPECT_DOUBLE_EQ(b.upper, 5.0);
-  EXPECT_DOUBLE_EQ(b.spectral_radius_bound, 5.0);
-}
-
-TEST(GershgorinTest, RowStochasticMatrixBoundedByOne) {
-  // Any row-stochastic non-negative matrix has spectral radius <= 1;
-  // Gershgorin must agree (each disc: center a_ii, radius 1 - a_ii).
-  const Matrix a = Matrix::from_rows({{0.5, 0.5}, {0.25, 0.75}});
-  const GershgorinBounds b = gershgorin_bounds(a);
-  EXPECT_LE(b.spectral_radius_bound, 1.0 + 1e-12);
-  EXPECT_GE(b.upper, 1.0 - 1e-12);  // the Perron eigenvalue 1 is inside
-}
-
-TEST(GershgorinTest, BoundsContainKnownEigenvalues) {
-  // [[2, 1], [1, 2]] has eigenvalues 1 and 3.
-  const Matrix a = Matrix::from_rows({{2.0, 1.0}, {1.0, 2.0}});
-  const GershgorinBounds b = gershgorin_bounds(a);
-  EXPECT_LE(b.lower, 1.0);
-  EXPECT_GE(b.upper, 3.0);
-}
-
-TEST(GershgorinTest, EmptyAndInvalid) {
-  const GershgorinBounds b = gershgorin_bounds(Matrix{});
-  EXPECT_DOUBLE_EQ(b.spectral_radius_bound, 0.0);
-  EXPECT_THROW((void)gershgorin_bounds(Matrix(2, 3)), InvalidArgument);
-}
-
 TEST(ResidualTest, ExactEigenpairHasZeroResidual) {
   // A^T x = x for the stationary distribution of a stochastic matrix.
   const Matrix a = Matrix::from_rows({{0.9, 0.1}, {0.5, 0.5}});

@@ -1,12 +1,13 @@
 /// Tests for the streaming grid economy (sim/stream_engine): option
 /// validation, the churn-off bit-identical equivalence with the one-shot
-/// sweep, same-seed replay determinism, and the no-lost-requests
-/// invariant under crash x leave churn.
+/// sweep, same-seed replay determinism, the no-lost-requests invariant
+/// under crash x leave churn, and both outcomes of mid-execution repair.
 #include "sim/stream_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "sim/runner.hpp"
 
@@ -224,6 +225,112 @@ TEST(StreamEngineTest, AdmissionControlShedsBelowFloor) {
   for (const StreamRequestResult& rr : result.requests) {
     EXPECT_NE(rr.outcome, RequestOutcome::Pending);
   }
+}
+
+// ------------------------------------------- mid-execution repair
+
+/// One request on 8 GSPs; churn seed 1 crashes a member of its committed
+/// VO mid-execution (no rejoins), which sends the engine into repair().
+StreamOptions mid_execution_crash_options() {
+  StreamOptions opts;
+  opts.base = tiny_config();
+  opts.base.gen.params.num_gsps = 8;
+  opts.num_requests = 1;
+  opts.churn.crash_rate = 1e-4;
+  opts.churn.rejoin_probability = 0.0;
+  opts.churn.seed = 1;
+  return opts;
+}
+
+/// The request's own events, in timeline order.
+std::vector<StreamEventKind> request_events(const StreamResult& result,
+                                            std::size_t request) {
+  std::vector<StreamEventKind> kinds;
+  for (const StreamLogEntry& e : result.timeline) {
+    if (e.request == request) kinds.push_back(e.kind);
+  }
+  return kinds;
+}
+
+/// The GSP whose crash started the (first) repair.
+std::size_t crashed_member(const StreamResult& result) {
+  std::size_t gsp = SIZE_MAX;
+  for (const StreamLogEntry& e : result.timeline) {
+    if (e.kind == StreamEventKind::GspCrashed) gsp = e.gsp;
+    if (e.kind == StreamEventKind::RepairStarted) break;
+  }
+  return gsp;
+}
+
+/// The broken attempt: the first formation runs at t = 0 over the whole
+/// pool, before any churn, so it is the churn-off run's formation.
+core::MechanismResult broken_attempt(const StreamOptions& opts) {
+  StreamOptions calm = opts;
+  calm.churn = {};
+  return StreamEngine(calm).run().requests.at(0).formation;
+}
+
+TEST(StreamEngineRepairTest, MidExecutionCrashIsRepairedOverSurvivors) {
+  const StreamOptions opts = mid_execution_crash_options();
+  const StreamResult result = StreamEngine(opts).run();
+  ASSERT_EQ(result.requests.size(), 1u);
+  const StreamRequestResult& rr = result.requests[0];
+  EXPECT_EQ(rr.outcome, RequestOutcome::Repaired);
+  EXPECT_EQ(result.repaired, 1u);
+  ASSERT_EQ(rr.repair_rounds, 1u);
+  EXPECT_EQ(rr.attempts, 1u);
+  EXPECT_EQ(request_events(result, 0),
+            (std::vector<StreamEventKind>{
+                StreamEventKind::RequestArrival,
+                StreamEventKind::FormationStart,
+                StreamEventKind::FormationCommit,
+                StreamEventKind::RepairStarted,
+                StreamEventKind::ExecutionCompleted}));
+
+  const core::MechanismResult broken = broken_attempt(opts);
+  ASSERT_TRUE(broken.success);
+  const std::size_t crashed = crashed_member(result);
+  EXPECT_TRUE(broken.selected.contains(crashed));
+  EXPECT_FALSE(rr.formation.selected.contains(crashed));
+  // v(C) of the repaired VO minus the sunk cost of the broken attempt.
+  EXPECT_EQ(rr.realized_value, rr.formation.value - broken.cost);
+
+  const StreamResult replay = StreamEngine(opts).run();
+  EXPECT_EQ(replay.timeline, result.timeline);
+  EXPECT_EQ(replay.requests[0].realized_value, rr.realized_value);
+}
+
+TEST(StreamEngineRepairTest, ExhaustedRepairBudgetFailsThenRetries) {
+  StreamOptions opts = mid_execution_crash_options();
+  opts.max_repair_rounds = 0;
+  const StreamResult result = StreamEngine(opts).run();
+  ASSERT_EQ(result.requests.size(), 1u);
+  const StreamRequestResult& rr = result.requests[0];
+  EXPECT_EQ(result.lost, 0u);
+  EXPECT_EQ(rr.repair_rounds, 1u);
+  EXPECT_EQ(rr.attempts, 2u);
+  // The failed repair releases the VO and schedules a fresh attempt,
+  // which forms and commits a new VO over the survivors.
+  EXPECT_EQ(request_events(result, 0),
+            (std::vector<StreamEventKind>{
+                StreamEventKind::RequestArrival,
+                StreamEventKind::FormationStart,
+                StreamEventKind::FormationCommit,
+                StreamEventKind::RepairStarted,
+                StreamEventKind::RepairFailed,
+                StreamEventKind::FormationStart,
+                StreamEventKind::FormationCommit,
+                StreamEventKind::ExecutionCompleted}));
+  // A request that lived through a repair round reports Repaired, and
+  // the broken attempt's cost stays sunk across the retry.
+  EXPECT_EQ(rr.outcome, RequestOutcome::Repaired);
+  EXPECT_FALSE(rr.formation.selected.contains(crashed_member(result)));
+  EXPECT_EQ(rr.realized_value,
+            rr.formation.value - broken_attempt(opts).cost);
+
+  const StreamResult replay = StreamEngine(opts).run();
+  EXPECT_EQ(replay.timeline, result.timeline);
+  EXPECT_EQ(replay.requests[0].realized_value, rr.realized_value);
 }
 
 // ------------------------------------------- continuous telemetry (§4j)
