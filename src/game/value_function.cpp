@@ -60,7 +60,8 @@ const CoalitionEvaluation& VoValueFunction::evaluate_impl(
       if (hint->previous != nullptr && hint->previous->feasible &&
           hint->previous->mapping.size() == inst_.num_tasks()) {
         const ip::RepairResult repaired = ip::repair_for_removal(
-            sub, original, hint->previous->mapping, hint->removed_gsp);
+            sub, *orders, original, hint->previous->mapping,
+            hint->removed_gsp);
         if (repaired.ok) {
           warm.incumbent = repaired.assignment;
           warm.incumbent_cost = repaired.cost;

@@ -204,12 +204,14 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
     sol.stats.repair_moves = warm->repair_moves;
   }
   if (opts_.seed_with_greedy) {
-    Assignment seed = greedy_construct(inst, orders->by_regret());
+    Assignment seed =
+        greedy_construct(inst, *orders, GreedyOptions::Order::RegretDescending);
     if (seed.empty()) {
-      seed = greedy_construct(inst, GreedyOptions::Order::TimeDescending);
+      seed =
+          greedy_construct(inst, *orders, GreedyOptions::Order::TimeDescending);
     }
     if (!seed.empty()) {
-      const double cost = local_search(inst, seed, opts_.polish);
+      const double cost = local_search(inst, *orders, seed, opts_.polish);
       search.seed_incumbent(std::move(seed), cost);
     }
   }

@@ -1,7 +1,6 @@
 #include "ip/greedy.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -9,22 +8,7 @@ namespace svo::ip {
 
 namespace {
 
-/// Regret of a task: gap between its two cheapest GSPs (capacity-blind;
-/// used only for ordering). Single-GSP instances get zero regret.
-double static_regret(const AssignmentInstance& inst, std::size_t t) {
-  double best = std::numeric_limits<double>::infinity();
-  double second = best;
-  for (std::size_t g = 0; g < inst.num_gsps(); ++g) {
-    const double c = inst.cost(g, t);
-    if (c < best) {
-      second = best;
-      best = c;
-    } else if (c < second) {
-      second = c;
-    }
-  }
-  return std::isfinite(second) ? second - best : 0.0;
-}
+constexpr double kTieEps = 1e-12;
 
 double max_time(const AssignmentInstance& inst, std::size_t t) {
   double mx = 0.0;
@@ -34,27 +18,77 @@ double max_time(const AssignmentInstance& inst, std::size_t t) {
   return mx;
 }
 
-}  // namespace
-
-Assignment greedy_construct(const AssignmentInstance& inst,
-                            GreedyOptions::Order order) {
-  inst.validate();
-  const std::size_t n = inst.num_tasks();
-  std::vector<std::size_t> task_order(n);
-  std::iota(task_order.begin(), task_order.end(), 0);
-  std::vector<double> key(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    key[t] = (order == GreedyOptions::Order::RegretDescending)
-                 ? static_regret(inst, t)
-                 : max_time(inst, t);
+/// The insertion rule as a scan of every row in row order: the
+/// cheapest GSP that fits, where costs within kTieEps count as tied and
+/// a tie goes to the larger slack. The rule is not transitive on costs
+/// that differ by less than kTieEps, so only a row-order scan defines
+/// it there.
+std::size_t row_order_insertion(const AssignmentInstance& inst, std::size_t t,
+                                const std::vector<double>& load) {
+  std::size_t best_g = SIZE_MAX;
+  double best_c = std::numeric_limits<double>::infinity();
+  double best_slack = -1.0;
+  for (std::size_t g = 0; g < inst.num_gsps(); ++g) {
+    const double tm = inst.time(g, t);
+    if (load[g] + tm > inst.deadline) continue;
+    const double c = inst.cost(g, t);
+    const double slack = inst.deadline - load[g] - tm;
+    if (c < best_c - kTieEps ||
+        (c < best_c + kTieEps && slack > best_slack)) {
+      best_g = g;
+      best_c = c;
+      best_slack = slack;
+    }
   }
-  std::stable_sort(task_order.begin(), task_order.end(),
-                   [&](std::size_t a, std::size_t b) { return key[a] > key[b]; });
-  return greedy_construct(inst, task_order);
+  return best_g;
 }
 
-Assignment greedy_construct(const AssignmentInstance& inst,
-                            const std::vector<std::size_t>& task_order) {
+/// The row row_order_insertion() picks, read from the task's cost
+/// order. The first fit in cost order has the least cost c0; the rows
+/// of exactly cost c0 follow it in row order, so scanning them for a
+/// larger slack settles the tie. When the next dearer row costs less
+/// than c0 + kTieEps, or c0 is not below its cost - kTieEps, the scan
+/// could chain through it, and the task falls back to the row-order scan.
+std::size_t insertion_row(const AssignmentInstance& inst,
+                          const TaskOrders& orders, std::size_t t,
+                          const std::vector<double>& load) {
+  const std::size_t k = inst.num_gsps();
+  const std::size_t* order = orders.gsp_order(t);
+  const auto fits = [&](std::size_t g) {
+    return load[g] + inst.time(g, t) <= inst.deadline;
+  };
+  std::size_t i = 0;
+  while (i < k && !fits(order[i])) ++i;
+  if (i == k) return SIZE_MAX;
+  std::size_t best_g = order[i];
+  const double c0 = inst.cost(best_g, t);
+  if (!(c0 < std::numeric_limits<double>::infinity())) return SIZE_MAX;
+  double best_slack = inst.deadline - load[best_g] - inst.time(best_g, t);
+  // Equal costs tie and the larger slack wins, unless c0 is so large
+  // that c0 + kTieEps rounds back to c0: then the lowest row wins.
+  const bool slack_decides = c0 < c0 + kTieEps;
+  for (++i; i < k; ++i) {
+    const std::size_t g = order[i];
+    const double c = inst.cost(g, t);
+    if (c != c0) {
+      if (c < c0 + kTieEps || !(c0 < c - kTieEps)) {
+        return row_order_insertion(inst, t, load);
+      }
+      break;
+    }
+    if (!slack_decides || !fits(g)) continue;
+    const double slack = inst.deadline - load[g] - inst.time(g, t);
+    if (slack > best_slack) {
+      best_g = g;
+      best_slack = slack;
+    }
+  }
+  return best_g;
+}
+
+/// Insert the tasks in `task_order`, then repair coverage (13).
+Assignment construct(const AssignmentInstance& inst, const TaskOrders& orders,
+                     const std::vector<std::size_t>& task_order) {
   const std::size_t k = inst.num_gsps();
   const std::size_t n = inst.num_tasks();
   if (inst.require_all_gsps_used && k > n) return {};
@@ -63,25 +97,11 @@ Assignment greedy_construct(const AssignmentInstance& inst,
   std::vector<double> load(k, 0.0);
   std::vector<std::size_t> count(k, 0);
   for (const std::size_t t : task_order) {
-    std::size_t best_g = SIZE_MAX;
-    double best_c = std::numeric_limits<double>::infinity();
-    double best_slack = -1.0;
-    for (std::size_t g = 0; g < k; ++g) {
-      const double tm = inst.time(g, t);
-      if (load[g] + tm > inst.deadline) continue;
-      const double c = inst.cost(g, t);
-      const double slack = inst.deadline - load[g] - tm;
-      if (c < best_c - 1e-12 ||
-          (c < best_c + 1e-12 && slack > best_slack)) {
-        best_g = g;
-        best_c = c;
-        best_slack = slack;
-      }
-    }
-    if (best_g == SIZE_MAX) return {};  // no GSP can still take this task
-    a[t] = best_g;
-    load[best_g] += inst.time(best_g, t);
-    ++count[best_g];
+    const std::size_t g = insertion_row(inst, orders, t, load);
+    if (g == SIZE_MAX) return {};  // no GSP can still take this task
+    a[t] = g;
+    load[g] += inst.time(g, t);
+    ++count[g];
   }
 
   if (inst.require_all_gsps_used) {
@@ -114,20 +134,50 @@ Assignment greedy_construct(const AssignmentInstance& inst,
   return a;
 }
 
+}  // namespace
+
+Assignment greedy_construct(const AssignmentInstance& inst,
+                            GreedyOptions::Order order) {
+  inst.validate();
+  return greedy_construct(inst, TaskOrders(inst), order);
+}
+
+Assignment greedy_construct(const AssignmentInstance& inst,
+                            const TaskOrders& orders,
+                            GreedyOptions::Order order) {
+  detail::require(orders.num_gsps() == inst.num_gsps() &&
+                      orders.num_tasks() == inst.num_tasks(),
+                  "greedy_construct: task orders of another instance");
+  if (order == GreedyOptions::Order::RegretDescending) {
+    return construct(inst, orders, orders.by_regret());
+  }
+  const std::size_t n = inst.num_tasks();
+  std::vector<std::size_t> task_order(n);
+  std::iota(task_order.begin(), task_order.end(), 0);
+  std::vector<double> key(n);
+  for (std::size_t t = 0; t < n; ++t) key[t] = max_time(inst, t);
+  std::stable_sort(task_order.begin(), task_order.end(),
+                   [&](std::size_t a, std::size_t b) { return key[a] > key[b]; });
+  return construct(inst, orders, task_order);
+}
+
 AssignmentSolution GreedyAssignmentSolver::solve(
     const AssignmentInstance& inst) const {
   AssignmentSolution sol;
-  Assignment a = greedy_construct(inst, GreedyOptions::Order::RegretDescending);
+  inst.validate();
+  const TaskOrders orders(inst);
+  Assignment a =
+      greedy_construct(inst, orders, GreedyOptions::Order::RegretDescending);
   if (a.empty()) {
     // Second chance with the other ordering: different orders fail on
     // different tight instances.
-    a = greedy_construct(inst, GreedyOptions::Order::TimeDescending);
+    a = greedy_construct(inst, orders, GreedyOptions::Order::TimeDescending);
   }
   if (a.empty()) {
     sol.stats.status = AssignStatus::Unknown;
     return sol;
   }
-  const double cost = local_search(inst, a, opts_.local_search);
+  const double cost = local_search(inst, orders, a, opts_.local_search);
   if (cost > inst.payment + 1e-9) {
     // Heuristic could not get under the payment cap; inconclusive.
     sol.stats.status = AssignStatus::Unknown;

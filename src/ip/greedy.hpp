@@ -2,11 +2,14 @@
 /// Greedy constructive solver for the task assignment IP: regret-ordered
 /// min-cost insertion under deadline capacities, coverage repair for
 /// constraint (13), then local-search polish. Fast (O(nk log n)) and used
-/// both standalone (large instances) and as the B&B incumbent seed.
+/// both standalone (large instances) and as the B&B incumbent seed. The
+/// regret order and each task's cheapest fitting GSP are read from the
+/// instance's TaskOrders (ip/task_orders.hpp).
 #pragma once
 
 #include "ip/assignment.hpp"
 #include "ip/local_search.hpp"
+#include "ip/task_orders.hpp"
 
 namespace svo::ip {
 
@@ -41,15 +44,17 @@ class GreedyAssignmentSolver final : public AssignmentSolver {
 
 /// Construction step only (no polish, no payment check): attempts to build
 /// an assignment satisfying (11)-(13). Returns empty vector on failure.
-/// Exposed separately so the B&B can seed from it with its own polish.
+/// Validates `inst`, sorts its TaskOrders and runs the overload below.
 [[nodiscard]] Assignment greedy_construct(const AssignmentInstance& inst,
                                           GreedyOptions::Order order);
 
-/// Construction step over a caller-supplied task order (a permutation of
-/// the tasks); `inst` must already be valid. The B&B seeds from
-/// TaskOrders::by_regret(), which is the RegretDescending order, so its
-/// seed is the one greedy_construct(inst, RegretDescending) builds.
-[[nodiscard]] Assignment greedy_construct(
-    const AssignmentInstance& inst, const std::vector<std::size_t>& task_order);
+/// Construction over `orders`, the TaskOrders of `inst` (a valid
+/// instance); the B&B seeds from it with its own polish. The
+/// RegretDescending order is orders.by_regret(). Each task goes to the
+/// first GSP in its cost order that fits, or to an equally cheap one
+/// with more slack left.
+[[nodiscard]] Assignment greedy_construct(const AssignmentInstance& inst,
+                                          const TaskOrders& orders,
+                                          GreedyOptions::Order order);
 
 }  // namespace svo::ip

@@ -1,6 +1,7 @@
 #include "ip/local_search.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -25,33 +26,24 @@ struct State {
 };
 
 /// One relocation pass; returns true if any move improved the cost.
-bool move_pass(const AssignmentInstance& inst, Assignment& a, State& st) {
-  const std::size_t k = inst.num_gsps();
+/// Each task moves to its cheapest strictly cheaper GSP that fits.
+bool move_pass(const AssignmentInstance& inst, const TaskOrders& orders,
+               Assignment& a, State& st) {
   bool improved = false;
   for (std::size_t t = 0; t < a.size(); ++t) {
     const std::size_t from = a[t];
     // Donor must keep at least one task when (13) is enforced.
     if (inst.require_all_gsps_used && st.task_count[from] <= 1) continue;
     const double c_from = inst.cost(from, t);
-    std::size_t best_g = from;
-    double best_c = c_from;
-    for (std::size_t g = 0; g < k; ++g) {
-      if (g == from) continue;
-      const double c_g = inst.cost(g, t);
-      if (c_g >= best_c) continue;
-      if (st.load[g] + inst.time(g, t) > inst.deadline) continue;
-      best_g = g;
-      best_c = c_g;
-    }
-    if (best_g != from) {
-      st.load[from] -= inst.time(from, t);
-      --st.task_count[from];
-      st.load[best_g] += inst.time(best_g, t);
-      ++st.task_count[best_g];
-      st.cost += best_c - c_from;
-      a[t] = best_g;
-      improved = true;
-    }
+    const std::size_t to = orders.cheapest_fit(inst, t, st.load, c_from);
+    if (to == SIZE_MAX) continue;
+    st.load[from] -= inst.time(from, t);
+    --st.task_count[from];
+    st.load[to] += inst.time(to, t);
+    ++st.task_count[to];
+    st.cost += inst.cost(to, t) - c_from;
+    a[t] = to;
+    improved = true;
   }
   return improved;
 }
@@ -82,14 +74,23 @@ bool try_swap(const AssignmentInstance& inst, Assignment& a, State& st,
 
 double local_search(const AssignmentInstance& inst, Assignment& a,
                     const LocalSearchOptions& opts) {
-  detail::require(check_feasible(inst, a).empty() ||
-                      // Payment (10) is allowed to be violated on entry —
-                      // local search only reduces cost, the caller decides.
-                      check_feasible(inst, a).rfind("payment", 0) == 0,
+  inst.validate();
+  return local_search(inst, TaskOrders(inst), a, opts);
+}
+
+double local_search(const AssignmentInstance& inst, const TaskOrders& orders,
+                    Assignment& a, const LocalSearchOptions& opts) {
+  detail::require(orders.num_gsps() == inst.num_gsps() &&
+                      orders.num_tasks() == inst.num_tasks(),
+                  "local_search: task orders of another instance");
+  // Payment (10) is allowed to be violated on entry — local search only
+  // reduces cost, the caller decides.
+  const std::string entry = check_feasible(inst, a);
+  detail::require(entry.empty() || entry.rfind("payment", 0) == 0,
                   "local_search: entry assignment violates (11)-(13)");
   State st(inst, a);
   for (std::size_t pass = 0; pass < opts.max_move_passes; ++pass) {
-    if (!move_pass(inst, a, st)) break;
+    if (!move_pass(inst, orders, a, st)) break;
   }
   if (opts.max_swap_passes > 0 && inst.num_gsps() > 1 && a.size() > 1) {
     util::Xoshiro256 rng(opts.seed);
@@ -111,7 +112,7 @@ double local_search(const AssignmentInstance& inst, Assignment& a,
       }
       // A swap pass may open relocation opportunities.
       if (improved) {
-        while (move_pass(inst, a, st)) {
+        while (move_pass(inst, orders, a, st)) {
         }
       } else {
         break;

@@ -1,12 +1,15 @@
 /// \file local_search.hpp
 /// Feasibility-preserving local search used to polish incumbents: single
 /// task relocations plus (sampled) pairwise swaps. Shared by the greedy
-/// solver and by the B&B's incumbent seeding.
+/// solver and by the B&B's incumbent seeding, both of which hand it the
+/// TaskOrders they already hold: every relocation reads the task's GSPs
+/// in cost order (ip/task_orders.hpp).
 #pragma once
 
 #include <cstdint>
 
 #include "ip/assignment.hpp"
+#include "ip/task_orders.hpp"
 
 namespace svo::ip {
 
@@ -26,7 +29,15 @@ struct LocalSearchOptions {
 /// Improve `a` in place without ever violating constraints (11)-(13);
 /// constraint (10) is an objective cap, handled by the caller. Requires
 /// `a` to satisfy (11)-(13) on entry (checked). Returns the final cost.
+/// Validates `inst`, sorts its TaskOrders and runs the overload below.
 double local_search(const AssignmentInstance& inst, Assignment& a,
                     const LocalSearchOptions& opts = {});
+
+/// local_search() over `orders`, the TaskOrders of `inst` (a valid
+/// instance). Relocations walk each task's cost order and stop at the
+/// first fit or at the task's current cost, so a task that already sits
+/// on its cheapest GSP costs one comparison per pass.
+double local_search(const AssignmentInstance& inst, const TaskOrders& orders,
+                    Assignment& a, const LocalSearchOptions& opts = {});
 
 }  // namespace svo::ip

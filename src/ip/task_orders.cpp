@@ -36,11 +36,18 @@ TaskOrders::TaskOrders(const AssignmentInstance& inst)
   for (std::size_t t = 0; t < n_; ++t) {
     for (std::size_t g = 0; g < k_; ++g) cost[g] = inst.cost(g, t);
     std::size_t* row = gsp_order_.data() + t * k_;
-    std::iota(row, row + k_, std::size_t{0});
-    // Equal costs keep the lower row first, as a stable sort would.
-    std::sort(row, row + k_, [&](std::size_t a, std::size_t b) {
-      return cost[a] < cost[b] || (cost[a] == cost[b] && a < b);
-    });
+    // Row g's place in the order by (cost, row) is the number of rows
+    // before it: the lower rows that cost no more and the higher rows
+    // that cost less, so equal costs keep the lower row first, as a
+    // stable sort would. Counting is branch-free and beats a comparison
+    // sort on pools this narrow (game::Coalition caps them at 64 GSPs).
+    for (std::size_t g = 0; g < k_; ++g) {
+      const double c = cost[g];
+      std::size_t place = 0;
+      for (std::size_t h = 0; h < g; ++h) place += cost[h] <= c ? 1 : 0;
+      for (std::size_t h = g + 1; h < k_; ++h) place += cost[h] < c ? 1 : 0;
+      row[place] = g;
+    }
     regret_[t] = regret_of(inst, row, k_, t);
   }
   by_regret_.resize(n_);

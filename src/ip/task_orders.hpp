@@ -11,6 +11,12 @@
 ///    task first) — the B&B's branching order and the greedy seed's
 ///    insertion order.
 ///
+/// The B&B's DFS reads the cost orders as its child order; its
+/// incumbent seed reads them too: greedy insertion (ip/greedy.hpp), the
+/// local-search relocations (ip/local_search.hpp) and the removal repair
+/// (ip/warm_start.hpp) find each task's cheapest fitting GSP by walking
+/// its cost order (cheapest_fit) instead of scanning every GSP.
+///
 /// Algorithm 1 solves a chain of coalitions that each lose one GSP, so
 /// without_row() derives the next instance's orders from the current
 /// ones instead of sorting again, with a result equal field for field
@@ -18,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "ip/assignment.hpp"
@@ -53,6 +60,26 @@ class TaskOrders {
   /// Tasks by descending regret (stable).
   [[nodiscard]] const std::vector<std::size_t>& by_regret() const noexcept {
     return by_regret_;
+  }
+
+  /// The cheapest row of task `t` of `inst` (the instance these orders
+  /// were built from) that costs strictly less than `below` and still
+  /// fits under the deadline on top of `load` (summed time per row);
+  /// the lowest such row on equal costs, SIZE_MAX when there is none.
+  /// This is what a scan of every row keeping the first strictly
+  /// cheaper fit returns, found by walking gsp_order(t) and stopping at
+  /// the first fit or the first row that costs `below` or more.
+  [[nodiscard]] std::size_t cheapest_fit(const AssignmentInstance& inst,
+                                         std::size_t t,
+                                         const std::vector<double>& load,
+                                         double below) const noexcept {
+    const std::size_t* order = gsp_order(t);
+    for (std::size_t i = 0; i < k_; ++i) {
+      const std::size_t g = order[i];
+      if (!(inst.cost(g, t) < below)) break;
+      if (load[g] + inst.time(g, t) <= inst.deadline) return g;
+    }
+    return SIZE_MAX;
   }
 
   friend bool operator==(const TaskOrders&, const TaskOrders&) = default;

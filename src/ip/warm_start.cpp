@@ -5,28 +5,8 @@
 
 namespace svo::ip {
 
-namespace {
-
-/// Cheapest GSP that can still take task `t` under the deadline;
-/// SIZE_MAX when none fits.
-std::size_t cheapest_feasible(const AssignmentInstance& inst, std::size_t t,
-                              const std::vector<double>& load) {
-  std::size_t best_g = SIZE_MAX;
-  double best_c = std::numeric_limits<double>::infinity();
-  for (std::size_t g = 0; g < inst.num_gsps(); ++g) {
-    if (load[g] + inst.time(g, t) > inst.deadline) continue;
-    const double c = inst.cost(g, t);
-    if (c < best_c) {
-      best_c = c;
-      best_g = g;
-    }
-  }
-  return best_g;
-}
-
-}  // namespace
-
 RepairResult repair_for_removal(const AssignmentInstance& inst,
+                                const TaskOrders& orders,
                                 const std::vector<std::size_t>& rows,
                                 const Assignment& parent_assignment,
                                 std::size_t removed_parent_row,
@@ -34,6 +14,8 @@ RepairResult repair_for_removal(const AssignmentInstance& inst,
   RepairResult out;
   const std::size_t k = inst.num_gsps();
   const std::size_t n = inst.num_tasks();
+  detail::require(orders.num_gsps() == k && orders.num_tasks() == n,
+                  "repair_for_removal: task orders of another instance");
   if (rows.size() != k || parent_assignment.size() != n) return out;
 
   // Inverse row map: parent row -> child row.
@@ -62,7 +44,8 @@ RepairResult repair_for_removal(const AssignmentInstance& inst,
 
   // Greedy reinsertion of the orphaned tasks (cheapest feasible GSP).
   for (const std::size_t t : moved) {
-    const std::size_t g = cheapest_feasible(inst, t, load);
+    const std::size_t g = orders.cheapest_fit(
+        inst, t, load, std::numeric_limits<double>::infinity());
     if (g == SIZE_MAX) {
       out.cost = 0.0;
       return out;  // no surviving GSP can absorb this task
@@ -83,26 +66,16 @@ RepairResult repair_for_removal(const AssignmentInstance& inst,
       const std::size_t from = a[t];
       if (inst.require_all_gsps_used && count[from] <= 1) continue;
       const double c_from = inst.cost(from, t);
-      std::size_t best_g = from;
-      double best_c = c_from;
-      for (std::size_t g = 0; g < k; ++g) {
-        if (g == from) continue;
-        const double c_g = inst.cost(g, t);
-        if (c_g >= best_c) continue;
-        if (load[g] + inst.time(g, t) > inst.deadline) continue;
-        best_g = g;
-        best_c = c_g;
-      }
-      if (best_g != from) {
-        load[from] -= inst.time(from, t);
-        --count[from];
-        load[best_g] += inst.time(best_g, t);
-        ++count[best_g];
-        out.cost += best_c - c_from;
-        a[t] = best_g;
-        ++out.moves;
-        improved = true;
-      }
+      const std::size_t to = orders.cheapest_fit(inst, t, load, c_from);
+      if (to == SIZE_MAX) continue;
+      load[from] -= inst.time(from, t);
+      --count[from];
+      load[to] += inst.time(to, t);
+      ++count[to];
+      out.cost += inst.cost(to, t) - c_from;
+      a[t] = to;
+      ++out.moves;
+      improved = true;
     }
     if (!improved) break;
   }

@@ -10,7 +10,9 @@
 ///     the moved tasks);
 ///  2. *task orders* (ip/task_orders.hpp): the per-task cost orders,
 ///     regrets and regret order, derived from the predecessor's with
-///     TaskOrders::without_row() — never re-sorted.
+///     TaskOrders::without_row() — never re-sorted. The repair reads its
+///     cheapest fits from them, and so do the solver's DFS, greedy seed
+///     and polish.
 ///
 /// Both are hints: a warm incumbent only tightens branch-and-bound
 /// pruning, and derived orders equal the ones a fresh sort would build
@@ -71,16 +73,19 @@ struct RepairResult {
 
 /// Repair the parent iteration's mapping after one GSP was removed.
 ///
-/// `inst` is the restricted (child) instance; `rows[r]` is the parent
-/// row of child row r; `parent_assignment` maps each task to a parent
-/// row; `removed_parent_row` is the row that left. Tasks on surviving
-/// rows keep their executor; tasks on the removed row are reinserted
-/// greedily (cheapest feasible surviving GSP under the deadline), then
-/// a relocation polish restricted to the moved tasks runs until no
-/// moved task improves (at most `polish_passes` passes). The result
-/// satisfies (11)-(13) by construction whenever ok is true.
+/// `inst` is the restricted (child) instance and `orders` its
+/// TaskOrders; `rows[r]` is the parent row of child row r;
+/// `parent_assignment` maps each task to a parent row;
+/// `removed_parent_row` is the row that left. Tasks on surviving rows
+/// keep their executor; tasks on the removed row are reinserted
+/// greedily (cheapest feasible surviving GSP under the deadline, read
+/// from `orders`), then a relocation polish restricted to the moved
+/// tasks runs until no moved task improves (at most `polish_passes`
+/// passes). The result satisfies (11)-(13) by construction whenever ok
+/// is true.
 [[nodiscard]] RepairResult repair_for_removal(
-    const AssignmentInstance& inst, const std::vector<std::size_t>& rows,
+    const AssignmentInstance& inst, const TaskOrders& orders,
+    const std::vector<std::size_t>& rows,
     const Assignment& parent_assignment, std::size_t removed_parent_row,
     std::size_t polish_passes = 8);
 

@@ -72,6 +72,11 @@ std::size_t Xoshiro256::index(std::size_t n) {
   // The threshold is below n, so a draw r >= n is accepted without
   // computing it; only r < n pays the extra division.
   const std::uint64_t bound = n;
+  // A power of two divides 2^64, so nothing is ever rejected and the
+  // remainder is the low bits: the same draw without a division.
+  if ((bound & (bound - 1)) == 0) {
+    return static_cast<std::size_t>((*this)() & (bound - 1));
+  }
   for (;;) {
     const std::uint64_t r = (*this)();
     if (r >= bound || r >= (0 - bound) % bound) {

@@ -169,5 +169,49 @@ TEST(MechanismGoldenTest, TableIScenarios1024x16) {
   // clang-format on
 }
 
+
+TEST(MechanismGoldenTest, TableIScenarios8192x16) {
+  // Fig. 9's largest size with the perfbench budgets: every solve is
+  // budget-bound, so the greedy seed and its polish decide each answer.
+  // Recorded while the seed still scanned every GSP in row order.
+  // clang-format off
+  expect_golden(16, 8192, paper_budget(), {
+       {0, 0xd291ULL, 0x1.155b2c2f295f9p+21, 0xd588fd3bfe901578ULL, 0xd769ad708a488f9bULL,
+        {{0xffffULL, kFea, 20000, 0x1.13dd3951f1ce8p+21},
+         {0xfffbULL, kFea, 5000, 0x1.1430546bf9a66p+21},
+         {0xfefbULL, kFea, 5000, 0x1.143176c80b3fp+21},
+         {0xdefbULL, kFea, 5000, 0x1.144489755ba7dp+21},
+         {0xdef3ULL, kFea, 5000, 0x1.1447320be66acp+21},
+         {0xded3ULL, kFea, 5000, 0x1.147ad791374b6p+21},
+         {0xdad3ULL, kFea, 5000, 0x1.1489bac49cecp+21},
+         {0xdad1ULL, kFea, 5000, 0x1.14b4d31dc2fb5p+21},
+         {0xd2d1ULL, kFea, 5000, 0x1.14df372fa1fa7p+21},
+         {0xd291ULL, kFea, 5000, 0x1.155b2c2f295f9p+21},
+         {0xd211ULL, kUnk, 5000, 0x0p+0}}},
+       {1, 0xfef7ULL, 0x1.1339bada64e6cp+21, 0x6f75de16d8aed18ULL, 0xe568e99e9210ecccULL,
+        {{0xffffULL, kFea, 20000, 0x1.12f4b5ca671a1p+21},
+         {0xfff7ULL, kFea, 5000, 0x1.132c95d39dc14p+21},
+         {0xfef7ULL, kFea, 5000, 0x1.1339bada64e6cp+21},
+         {0xf6f7ULL, kFea, 5000, 0x1.1413db8873a2cp+21},
+         {0xf6f3ULL, kFea, 5000, 0x1.141b9e8ca086p+21},
+         {0xf2f3ULL, kFea, 5000, 0x1.142860db9defbp+21},
+         {0xf2e3ULL, kUnk, 5000, 0x0p+0}}},
+       {2, 0x3458ULL, 0x1.1394cee483e32p+21, 0x8cd098de0ef19548ULL, 0x7cdce6c569a579b9ULL,
+        {{0xffffULL, kFea, 20000, 0x1.11b0425c42192p+21},
+         {0xfeffULL, kFea, 5000, 0x1.11e655109d70dp+21},
+         {0xbeffULL, kFea, 5000, 0x1.11eb76cc8b59ep+21},
+         {0xbedfULL, kFea, 5000, 0x1.123723c1e955cp+21},
+         {0xbedeULL, kFea, 5000, 0x1.1249b7af5d35cp+21},
+         {0xbedaULL, kFea, 5000, 0x1.1249bc1714145p+21},
+         {0xbcdaULL, kFea, 5000, 0x1.1249c06d9e186p+21},
+         {0xb4daULL, kFea, 5000, 0x1.128768daca43dp+21},
+         {0x34daULL, kFea, 5000, 0x1.1288d18fba054p+21},
+         {0x345aULL, kFea, 5000, 0x1.138626fb49ac1p+21},
+         {0x3458ULL, kFea, 5000, 0x1.1394cee483e32p+21},
+         {0x1458ULL, kUnk, 5000, 0x0p+0}}},
+  });
+  // clang-format on
+}
+
 }  // namespace
 }  // namespace svo::core

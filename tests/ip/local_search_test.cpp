@@ -104,5 +104,20 @@ TEST(LocalSearchTest, RejectsInfeasibleEntry) {
   EXPECT_THROW((void)local_search(inst, a, {}), InvalidArgument);
 }
 
+TEST(LocalSearchTest, AcceptsEntryThatBreaksOnlyThePaymentCap) {
+  // (10) caps the objective, which local search only lowers: an entry
+  // over the cap is polished, not rejected.
+  AssignmentInstance inst;
+  inst.cost = linalg::Matrix::from_rows({{1, 9}, {9, 1}});
+  inst.time = linalg::Matrix::from_rows({{1, 1}, {1, 1}});
+  inst.deadline = 10.0;
+  inst.payment = 1.0;
+  inst.require_all_gsps_used = false;
+  Assignment a{1, 0};  // cost 18 > P
+  ASSERT_EQ(check_feasible(inst, a).rfind("payment", 0), 0u);
+  EXPECT_DOUBLE_EQ(local_search(inst, a, {}), 2.0);
+  EXPECT_EQ(a, (Assignment{0, 1}));
+}
+
 }  // namespace
 }  // namespace svo::ip

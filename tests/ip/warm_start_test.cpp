@@ -12,6 +12,7 @@
 
 #include "ip/bnb.hpp"
 #include "ip/greedy.hpp"
+#include "tests/ip/seed_reference.hpp"
 #include "tests/ip/test_instances.hpp"
 
 namespace svo::ip {
@@ -145,15 +146,16 @@ TEST(TaskOrdersTest, WithoutRowRejectsAMismatchedChild) {
 }
 
 TEST(TaskOrdersTest, RegretOrderSeedsLikeRegretDescendingGreedy) {
-  // The B&B seeds greedy construction from by_regret() instead of
-  // recomputing the regret order: the seeds must be the same.
+  // Greedy construction in RegretDescending order inserts the tasks in
+  // by_regret() order: it must be the stable descending sort of the
+  // regrets a row scan finds.
   for (const std::size_t k : {1, 2, 3, 8}) {
     util::Xoshiro256 rng(14 + k);
     for (const bool tied : {false, true}) {
       const AssignmentInstance inst = tied ? tied_instance(k, 30, rng)
                                            : testing::random_instance(k, 30, rng);
-      EXPECT_EQ(greedy_construct(inst, TaskOrders(inst).by_regret()),
-                greedy_construct(inst, GreedyOptions::Order::RegretDescending))
+      EXPECT_EQ(TaskOrders(inst).by_regret(),
+                testing::reference_regret_order(inst))
           << "k " << k << (tied ? " tied" : "");
     }
   }
@@ -169,8 +171,8 @@ TEST(RepairTest, KeepsSurvivorsAndReinsertsOrphans) {
   const std::size_t removed = parent.assignment[0];  // a used GSP
   std::vector<std::size_t> rows;
   const AssignmentInstance sub = drop_row(inst, removed, &rows);
-  const RepairResult r =
-      repair_for_removal(sub, rows, parent.assignment, removed);
+  const RepairResult r = repair_for_removal(sub, TaskOrders(sub), rows,
+                                            parent.assignment, removed);
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(check_feasible(sub, r.assignment).empty());
   EXPECT_DOUBLE_EQ(r.cost, assignment_cost(sub, r.assignment));
@@ -198,7 +200,8 @@ TEST(RepairTest, FailsCleanlyWhenNoGspCanAbsorb) {
   const Assignment parent = {0, 1};
   std::vector<std::size_t> rows;
   const AssignmentInstance sub = drop_row(inst, 1, &rows);
-  const RepairResult r = repair_for_removal(sub, rows, parent, 1);
+  const RepairResult r =
+      repair_for_removal(sub, TaskOrders(sub), rows, parent, 1);
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(r.assignment.empty());
 }
@@ -210,7 +213,8 @@ TEST(RepairTest, RejectsMappingOntoUnknownRow) {
   const AssignmentInstance sub = drop_row(inst, 3, &rows);
   Assignment parent(inst.num_tasks(), 0);
   parent[2] = 7;  // row that never existed
-  const RepairResult r = repair_for_removal(sub, rows, parent, 3);
+  const RepairResult r =
+      repair_for_removal(sub, TaskOrders(sub), rows, parent, 3);
   EXPECT_FALSE(r.ok);
 }
 
@@ -237,7 +241,7 @@ TEST(WarmBnbTest, WarmEqualsColdOnEveryRemoval) {
       warm.orders = &orders;
       warm.reverification = true;
       const RepairResult r =
-          repair_for_removal(sub, rows, parent.assignment, removed);
+          repair_for_removal(sub, orders, rows, parent.assignment, removed);
       if (r.ok) {
         warm.incumbent = r.assignment;
         warm.incumbent_cost = r.cost;
@@ -267,8 +271,8 @@ TEST(WarmBnbTest, ReportsWarmStartTelemetry) {
   const std::size_t removed = parent.assignment[0];
   std::vector<std::size_t> rows;
   const AssignmentInstance sub = drop_row(inst, removed, &rows);
-  const RepairResult r =
-      repair_for_removal(sub, rows, parent.assignment, removed);
+  const RepairResult r = repair_for_removal(sub, TaskOrders(sub), rows,
+                                            parent.assignment, removed);
   ASSERT_TRUE(r.ok);
   WarmStart warm;
   warm.incumbent = r.assignment;

@@ -74,13 +74,15 @@ TEST(Xoshiro256Test, IndexIsApproximatelyUniform) {
 }
 
 TEST(Xoshiro256Test, IndexDrawsMatchTheAlwaysDividingFormula) {
-  // index() skips the threshold division when the draw is already >= n;
-  // draws and generator state must match the formula that always
-  // computes (2^64 - n) % n first.
+  // index() skips the threshold division when the draw is already >= n,
+  // and every division when n is a power of two; draws and generator
+  // state must match the formula that always computes (2^64 - n) % n
+  // first.
   constexpr std::uint64_t kTop = ~std::uint64_t{0};
   for (const std::uint64_t n :
        {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{7},
-        std::uint64_t{8192}, (std::uint64_t{1} << 32) + 1,
+        std::uint64_t{64}, std::uint64_t{8192}, std::uint64_t{1} << 32,
+        (std::uint64_t{1} << 32) + 1,
         std::uint64_t{1} << 63, (std::uint64_t{1} << 63) + 1, kTop}) {
     Xoshiro256 rng(n ^ 0x5eed);
     Xoshiro256 ref(n ^ 0x5eed);
