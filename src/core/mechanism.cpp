@@ -2,12 +2,29 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "game/payoff.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 
 namespace svo::core {
+
+namespace {
+
+/// Cells (tasks x GSPs) of a coalition from which a warm run predicts
+/// the next removal before the solve, so the value function seeds the
+/// next coalition on a worker meanwhile (DESIGN.md §4c). The overlap
+/// pays in proportion to the seed's share of a solve. Measured on Table
+/// I chains on a 4-vCPU VM whose vCPUs at times ran in parallel and at
+/// times shared one core: in parallel windows pipelining was faster by
+/// 6 % at 2 048 cells, 10-14 % at 4 096, 15-26 % at 8 192 and 23-42 %
+/// at 16 384 (1 024 x 16); in shared windows it was 4-13 % slower at
+/// every size. From 16 384 cells the gain is at least four times that
+/// loss. It keeps 64 x 64 and the 24 x 8 service requests sequential.
+constexpr std::size_t kLookaheadMinCells = 16'384;
+
+}  // namespace
 
 VoFormationMechanism::VoFormationMechanism(const ip::AssignmentSolver& solver,
                                            MechanismConfig config)
@@ -74,17 +91,31 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
   std::vector<game::Coalition> feasible_list;  // L
   bool infeasible_hit = false;
   const bool warm = request.warm_start == WarmStartPolicy::Incremental;
-  const game::CoalitionEvaluation* prev_eval = nullptr;
-  std::size_t prev_removed = SIZE_MAX;
+  game::WarmHint hint;  // stays empty unless warm
   while (!c.empty()) {
     obs::Span iter_span("core.mechanism.iteration", "core");
     if (iter_span.active()) {
       iter_span.arg("coalition_size", static_cast<double>(c.size()));
     }
-    const game::CoalitionEvaluation& eval =  // line 5
-        warm && prev_eval != nullptr
-            ? v.evaluate(c, game::WarmHint{prev_eval, prev_removed})
-            : v.evaluate(c);
+    const std::vector<std::size_t> members = c.members();
+    // Lookahead on large warm requests: line 10's reputation and the
+    // removal it leads to are known before line 5, as neither depends
+    // on the solve. The removal is predicted on a copy of the RNG, so
+    // the value function can seed the next coalition during this solve
+    // while the real draw below stays where it was (DESIGN.md §4c).
+    std::optional<trust::ReputationResult> rep;
+    std::size_t predicted = SIZE_MAX;
+    hint.next = {};
+    if (warm && c.size() > 1 &&
+        inst.num_tasks() * c.size() >= kLookaheadMinCells) {
+      rep = engine.compute(trust, members);
+      util::Xoshiro256 rng_copy = rng;
+      predicted = choose_removal(trust, members, rep->scores, rng_copy);
+      detail::require(predicted < members.size(),
+                      "choose_removal returned an out-of-range index");
+      hint.next = c.without(members[predicted]);
+    }
+    const game::CoalitionEvaluation& eval = v.evaluate(c, hint);  // line 5
     if (iter_span.active()) {
       iter_span.arg("feasible", eval.feasible ? 1.0 : 0.0);
     }
@@ -109,9 +140,8 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
     }
 
     // Line 10: recompute reputation on the current VO's subgraph.
-    const std::vector<std::size_t> members = c.members();
-    const trust::ReputationResult rep = engine.compute(trust, members);
-    rec.avg_local_reputation = rep.average;
+    if (!rep) rep = engine.compute(trust, members);
+    rec.avg_local_reputation = rep->average;
 
     if (c.size() == 1) {
       // Removing the last member would leave the empty coalition, whose
@@ -121,13 +151,18 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
     }
 
     // Lines 11-12: remove one GSP (rule differs per mechanism).
-    const std::size_t pick = choose_removal(trust, members, rep.scores, rng);
+    const std::size_t pick = choose_removal(trust, members, rep->scores, rng);
     detail::require(pick < members.size(),
                     "choose_removal returned an out-of-range index");
+    detail::require(predicted == SIZE_MAX || pick == predicted,
+                    "choose_removal is not a function of its arguments and "
+                    "the RNG state");
     rec.removed_gsp = members[pick];
     result.journal.push_back(rec);
-    prev_eval = &eval;
-    prev_removed = members[pick];
+    if (warm) {
+      hint.previous = &eval;
+      hint.removed_gsp = members[pick];
+    }
     c = c.without(members[pick]);
   }
   (void)infeasible_hit;

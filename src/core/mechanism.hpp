@@ -177,7 +177,10 @@ class VoFormationMechanism {
   /// Execute the mechanism on one request — the single implementation
   /// every other entry point funnels into. Results are deterministic in
   /// (instance, trust, rng state, candidates); the warm-start policy
-  /// changes solver work, never the outcome (see WarmStartPolicy).
+  /// changes solver work, never the outcome (see WarmStartPolicy). On
+  /// large Incremental requests the next coalition's incumbent seed is
+  /// computed on util::ThreadPool::global() while the current coalition
+  /// is solved (DESIGN.md §4c), which changes no outcome either.
   [[nodiscard]] MechanismResult run(const FormationRequest& request) const;
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -190,7 +193,10 @@ class VoFormationMechanism {
   /// recomputed reputation of members[i] on the current VO's subgraph
   /// (Algorithm 1 line 10); `trust` is provided so alternative removal
   /// rules (centrality ablations) can derive their own signal. Returns an
-  /// index into `members`.
+  /// index into `members`. Must depend on nothing but its arguments and
+  /// the RNG state: large runs also call it on a copy of `rng` before the
+  /// solve to predict the removal, and throw InvalidArgument when the
+  /// real pick differs.
   [[nodiscard]] virtual std::size_t choose_removal(
       const trust::TrustGraph& trust, const std::vector<std::size_t>& members,
       const std::vector<double>& scores, util::Xoshiro256& rng) const = 0;

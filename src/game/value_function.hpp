@@ -18,6 +18,10 @@
 #include "ip/assignment.hpp"
 #include "ip/warm_start.hpp"
 
+namespace svo::ip {
+class BnbAssignmentSolver;
+}  // namespace svo::ip
+
 namespace svo::game {
 
 /// One memoized coalition evaluation.
@@ -34,18 +38,26 @@ struct CoalitionEvaluation {
   ip::SolveStats stats;
 };
 
-/// Warm-start hint for evaluate(): the evaluation of the parent
-/// coalition C in the shrinking loop, plus the (original-index) GSP
-/// whose removal produced the coalition being evaluated. The hint is
-/// advisory — warm and cold evaluations of the same coalition agree on
+/// Warm-start hint for evaluate(): where the coalition sits in the
+/// shrinking loop. `previous` is the evaluation of the parent coalition
+/// C, `removed_gsp` the (original-index) GSP whose removal produced the
+/// coalition being evaluated, and `next` the coalition the loop
+/// evaluates after this one, when already known. The hint is advisory —
+/// warm and cold evaluations of the same coalition agree on
 /// feasibility, cost, value, and mapping whenever the solver runs to
-/// proof (see ip/warm_start.hpp).
+/// proof (see ip/warm_start.hpp) — and `next` changes no evaluation at
+/// all. A hint without `previous` evaluates cold.
 struct WarmHint {
   /// Evaluation of the parent coalition; must stay alive for the call.
   /// References into the VoValueFunction cache are stable.
   const CoalitionEvaluation* previous = nullptr;
   /// Original GSP index removed from the parent coalition.
   std::size_t removed_gsp = SIZE_MAX;
+  /// The coalition evaluated after this one: this one minus one member,
+  /// or empty when unknown. While this one is solved, the B&B
+  /// solver's incumbent seed for `next` is computed ahead on
+  /// util::ThreadPool::global() (DESIGN.md §4c).
+  Coalition next{};
 };
 
 /// Memoizing characteristic function. Holds references to the instance
@@ -55,6 +67,12 @@ class VoValueFunction {
   /// `inst` covers all m GSPs; coalitions restrict it by row.
   VoValueFunction(const ip::AssignmentInstance& inst,
                   const ip::AssignmentSolver& solver);
+  /// Joins the seed computed ahead for a hint's `next`, if one is in
+  /// flight.
+  ~VoValueFunction();
+
+  VoValueFunction(const VoValueFunction&) = delete;
+  VoValueFunction& operator=(const VoValueFunction&) = delete;
 
   /// Number of players (GSPs) in the underlying instance.
   [[nodiscard]] std::size_t num_players() const noexcept {
@@ -77,6 +95,18 @@ class VoValueFunction {
   /// without_row) when they are the last ones built; both reach the
   /// solver as ip::WarmStart. Memoized identically to evaluate(c); a
   /// cache hit ignores the hint.
+  ///
+  /// With `hint.next` set and a ip::BnbAssignmentSolver, the next
+  /// coalition's restricted instance and task orders are built here too,
+  /// and its incumbent seed (ip::BnbAssignmentSolver::seed) starts on
+  /// util::ThreadPool::global() while `c` is solved; evaluating `next`
+  /// then hands that seed to the solver (ip::WarmStart::seed). Only one
+  /// coalition is prepared at a time; evaluating another one drops it.
+  /// When the caller is a worker of that pool (waiting there on another
+  /// task can deadlock it) or the pool has fewer than two workers,
+  /// `next` is ignored and its solve computes its own seed inline.
+  /// Throws InvalidArgument when `hint.next` is set but is not `c` minus
+  /// one member.
   const CoalitionEvaluation& evaluate(Coalition c, const WarmHint& hint) const;
 
   /// v(C) shortcut.
@@ -87,18 +117,41 @@ class VoValueFunction {
     return cache_.size();
   }
 
+  /// Number of evaluations whose incumbent seed was computed ahead, on
+  /// the pool, during the previous evaluation (see evaluate(c, hint)).
+  [[nodiscard]] std::size_t seeded_ahead() const noexcept {
+    return seeded_ahead_;
+  }
+
  private:
+  /// One coalition's restricted instance and task orders, and the
+  /// solver's seed for them when that is being computed ahead.
+  struct Restriction;
+
   const CoalitionEvaluation& evaluate_impl(Coalition c,
                                            const WarmHint* hint) const;
+  /// `c`'s restriction of the instance, with task orders derived from
+  /// `parent_orders` (those of `parent`, c plus one GSP) or, when null,
+  /// sorted.
+  [[nodiscard]] std::unique_ptr<Restriction> make_restriction(
+      Coalition c, Coalition parent, const ip::TaskOrders* parent_orders) const;
 
   const ip::AssignmentInstance& inst_;
   const ip::AssignmentSolver& solver_;
+  /// `solver_` when it is the B&B solver, whose seed can be computed
+  /// ahead; null otherwise.
+  const ip::BnbAssignmentSolver* bnb_;
   mutable std::unordered_map<std::uint64_t, CoalitionEvaluation> cache_;
   /// Task orders of the last coalition solved (`orders_coalition_`):
   /// the parent of the next warm evaluation in Algorithm 1's chain.
-  /// Only they and the child's orders are alive at once.
+  /// With those of the coalition being evaluated and of a prepared one,
+  /// at most two orders are alive at once.
   mutable std::unique_ptr<const ip::TaskOrders> orders_;
   mutable Coalition orders_coalition_;
+  /// The coalition a hint named as `next`, prepared ahead; its seed may
+  /// still be running on the pool.
+  mutable std::unique_ptr<Restriction> next_;
+  mutable std::size_t seeded_ahead_ = 0;
 };
 
 }  // namespace svo::game

@@ -1,11 +1,11 @@
 #include "ip/bnb.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <optional>
 
 #include "ip/greedy.hpp"
-#include "ip/warm_start.hpp"
 #include "obs/trace.hpp"
 
 namespace svo::ip {
@@ -98,7 +98,7 @@ class Search {
     const std::size_t t = orders_.by_regret()[depth];
     const std::size_t remaining_after = n_ - depth - 1;
     const double suffix = suffix_min_[depth + 1];
-    const std::size_t* children = orders_.gsp_order(t);
+    const std::uint16_t* children = orders_.gsp_order(t);
     for (std::size_t ci = 0; ci < k_; ++ci) {
       const std::size_t g = children[ci];
       const double c = inst_.cost(g, t);
@@ -149,6 +149,22 @@ class Search {
 
 }  // namespace
 
+IncumbentSeed BnbAssignmentSolver::seed(const AssignmentInstance& inst,
+                                        const TaskOrders& orders) const {
+  IncumbentSeed out;
+  if (!opts_.seed_with_greedy) return out;
+  out.assignment =
+      greedy_construct(inst, orders, GreedyOptions::Order::RegretDescending);
+  if (out.assignment.empty()) {
+    out.assignment =
+        greedy_construct(inst, orders, GreedyOptions::Order::TimeDescending);
+  }
+  if (!out.assignment.empty()) {
+    out.cost = local_search(inst, orders, out.assignment, opts_.polish);
+  }
+  return out;
+}
+
 AssignmentSolution BnbAssignmentSolver::solve(
     const AssignmentInstance& inst) const {
   return solve_impl(inst, nullptr);
@@ -165,12 +181,23 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
   // other instance is outside input, validated and sorted here. The
   // O(1) shape check keeps a mismatched hint from reading out of bounds.
   const TaskOrders* orders = nullptr;
+  const IncumbentSeed* ahead = nullptr;  // seed computed before the call
   if (warm != nullptr && warm->orders != nullptr &&
       warm->orders->num_gsps() == inst.num_gsps() &&
       warm->orders->num_tasks() == inst.num_tasks() &&
       inst.time.rows() == inst.num_gsps() &&
       inst.time.cols() == inst.num_tasks()) {
     orders = warm->orders;
+    // A seed that cannot be this instance's is ignored: it must not
+    // index rows the instance lacks.
+    const IncumbentSeed* s = warm->seed;
+    if (s != nullptr &&
+        (s->assignment.empty() ||
+         (s->assignment.size() == inst.num_tasks() &&
+          std::all_of(s->assignment.begin(), s->assignment.end(),
+                      [&](std::size_t g) { return g < inst.num_gsps(); })))) {
+      ahead = s;
+    }
   } else {
     inst.validate();
   }
@@ -203,17 +230,9 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
     sol.stats.incumbent_reused_cost = warm->incumbent_cost;
     sol.stats.repair_moves = warm->repair_moves;
   }
-  if (opts_.seed_with_greedy) {
-    Assignment seed =
-        greedy_construct(inst, *orders, GreedyOptions::Order::RegretDescending);
-    if (seed.empty()) {
-      seed =
-          greedy_construct(inst, *orders, GreedyOptions::Order::TimeDescending);
-    }
-    if (!seed.empty()) {
-      const double cost = local_search(inst, *orders, seed, opts_.polish);
-      search.seed_incumbent(std::move(seed), cost);
-    }
+  IncumbentSeed seeded = ahead != nullptr ? *ahead : seed(inst, *orders);
+  if (!seeded.assignment.empty()) {
+    search.seed_incumbent(std::move(seeded.assignment), seeded.cost);
   }
   const bool exhausted = search.run();
 

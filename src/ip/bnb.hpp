@@ -15,6 +15,7 @@
 
 #include "ip/assignment.hpp"
 #include "ip/local_search.hpp"
+#include "ip/warm_start.hpp"
 
 namespace svo::ip {
 
@@ -54,6 +55,17 @@ class BnbAssignmentSolver final : public AssignmentSolver {
   [[nodiscard]] AssignmentSolution solve(const AssignmentInstance& inst,
                                          const WarmStart& warm) const override;
   [[nodiscard]] std::string name() const override { return "bnb"; }
+
+  /// The incumbent seed a solve computes before its search: greedy
+  /// construction over `orders` (regret order, then time order when that
+  /// fails) polished by local search with BnbOptions::polish; empty when
+  /// seed_with_greedy is off or no construction succeeds. A pure function
+  /// of (inst, orders, options), so a caller may compute it ahead, on any
+  /// thread, and hand it to solve() as WarmStart::seed with no change in
+  /// the outcome. Precondition: `orders` are the TaskOrders of `inst`, a
+  /// valid instance.
+  [[nodiscard]] IncumbentSeed seed(const AssignmentInstance& inst,
+                                   const TaskOrders& orders) const;
 
   [[nodiscard]] const BnbOptions& options() const noexcept { return opts_; }
 

@@ -53,7 +53,7 @@ std::size_t insertion_row(const AssignmentInstance& inst,
                           const TaskOrders& orders, std::size_t t,
                           const std::vector<double>& load) {
   const std::size_t k = inst.num_gsps();
-  const std::size_t* order = orders.gsp_order(t);
+  const std::uint16_t* order = orders.gsp_order(t);
   const auto fits = [&](std::size_t g) {
     return load[g] + inst.time(g, t) <= inst.deadline;
   };
@@ -163,9 +163,23 @@ Assignment greedy_construct(const AssignmentInstance& inst,
 
 AssignmentSolution GreedyAssignmentSolver::solve(
     const AssignmentInstance& inst) const {
-  AssignmentSolution sol;
   inst.validate();
-  const TaskOrders orders(inst);
+  return solve_over(inst, TaskOrders(inst));
+}
+
+AssignmentSolution GreedyAssignmentSolver::solve(const AssignmentInstance& inst,
+                                                 const WarmStart& warm) const {
+  inst.validate();
+  if (warm.orders != nullptr && warm.orders->num_gsps() == inst.num_gsps() &&
+      warm.orders->num_tasks() == inst.num_tasks()) {
+    return solve_over(inst, *warm.orders);
+  }
+  return solve_over(inst, TaskOrders(inst));
+}
+
+AssignmentSolution GreedyAssignmentSolver::solve_over(
+    const AssignmentInstance& inst, const TaskOrders& orders) const {
+  AssignmentSolution sol;
   Assignment a =
       greedy_construct(inst, orders, GreedyOptions::Order::RegretDescending);
   if (a.empty()) {

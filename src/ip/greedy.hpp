@@ -10,6 +10,7 @@
 #include "ip/assignment.hpp"
 #include "ip/local_search.hpp"
 #include "ip/task_orders.hpp"
+#include "ip/warm_start.hpp"
 
 namespace svo::ip {
 
@@ -33,12 +34,18 @@ class GreedyAssignmentSolver final : public AssignmentSolver {
  public:
   explicit GreedyAssignmentSolver(GreedyOptions opts = {}) : opts_(opts) {}
 
-  using AssignmentSolver::solve;
   [[nodiscard]] AssignmentSolution solve(
       const AssignmentInstance& inst) const override;
+  /// Reads the task orders from `warm` (ip/warm_start.hpp) instead of
+  /// sorting when they fit the instance; the other hints are ignored.
+  [[nodiscard]] AssignmentSolution solve(const AssignmentInstance& inst,
+                                         const WarmStart& warm) const override;
   [[nodiscard]] std::string name() const override { return "greedy"; }
 
  private:
+  [[nodiscard]] AssignmentSolution solve_over(const AssignmentInstance& inst,
+                                              const TaskOrders& orders) const;
+
   GreedyOptions opts_;
 };
 

@@ -10,7 +10,7 @@ namespace {
 
 /// Regret from a task's cost-sorted rows. An infinite second cost gives
 /// 0, as a scan for the two cheapest GSPs would.
-double regret_of(const AssignmentInstance& inst, const std::size_t* order,
+double regret_of(const AssignmentInstance& inst, const std::uint16_t* order,
                  std::size_t k, std::size_t t) {
   if (k < 2) return 0.0;
   const double second = inst.cost(order[1], t);
@@ -30,12 +30,14 @@ struct RegretFirst {
 
 TaskOrders::TaskOrders(const AssignmentInstance& inst)
     : k_(inst.num_gsps()), n_(inst.num_tasks()) {
+  detail::require(k_ <= kMaxGsps,
+                  "TaskOrders: more than 65535 GSPs do not fit 16-bit rows");
   gsp_order_.resize(n_ * k_);
   regret_.resize(n_);
   std::vector<double> cost(k_);  // one task's column of the cost matrix
   for (std::size_t t = 0; t < n_; ++t) {
     for (std::size_t g = 0; g < k_; ++g) cost[g] = inst.cost(g, t);
-    std::size_t* row = gsp_order_.data() + t * k_;
+    std::uint16_t* row = gsp_order_.data() + t * k_;
     // Row g's place in the order by (cost, row) is the number of rows
     // before it: the lower rows that cost no more and the higher rows
     // that cost less, so equal costs keep the lower row first, as a
@@ -46,7 +48,7 @@ TaskOrders::TaskOrders(const AssignmentInstance& inst)
       std::size_t place = 0;
       for (std::size_t h = 0; h < g; ++h) place += cost[h] <= c ? 1 : 0;
       for (std::size_t h = g + 1; h < k_; ++h) place += cost[h] < c ? 1 : 0;
-      row[place] = g;
+      row[place] = static_cast<std::uint16_t>(g);
     }
     regret_[t] = regret_of(inst, row, k_, t);
   }
@@ -71,13 +73,13 @@ TaskOrders TaskOrders::without_row(const AssignmentInstance& child,
   std::vector<char> moved(n_, 0);
   std::vector<std::size_t> resorted;
   for (std::size_t t = 0; t < n_; ++t) {
-    const std::size_t* from = gsp_order(t);
-    std::size_t* to = out.gsp_order_.data() + t * out.k_;
+    const std::uint16_t* from = gsp_order(t);
+    std::uint16_t* to = out.gsp_order_.data() + t * out.k_;
     const std::size_t at = static_cast<std::size_t>(
         std::find(from, from + k_, removed_row) - from);
     // Drop the removed row; rows above it move down by one.
-    const auto renumber = [removed_row](std::size_t g) {
-      return g - static_cast<std::size_t>(g > removed_row);
+    const auto renumber = [removed_row](std::uint16_t g) {
+      return static_cast<std::uint16_t>(g - (g > removed_row ? 1 : 0));
     };
     std::transform(from, from + at, to, renumber);
     std::transform(from + at + 1, from + k_, to + at, renumber);

@@ -33,9 +33,13 @@ namespace svo::ip {
 
 class TaskOrders {
  public:
+  /// The most GSPs an instance may have: rows are stored in 16 bits.
+  static constexpr std::size_t kMaxGsps = 65535;
+
   /// Sort `inst`. Precondition: `inst.validate()` passes. It is not
   /// re-checked here: the solver entry points validate outside input
-  /// once, and a restriction of a valid instance is valid.
+  /// once, and a restriction of a valid instance is valid. Throws
+  /// InvalidArgument when `inst` has more than kMaxGsps GSPs.
   explicit TaskOrders(const AssignmentInstance& inst);
 
   /// Orders of `child`: this instance with row `removed_row` deleted,
@@ -50,7 +54,7 @@ class TaskOrders {
   [[nodiscard]] std::size_t num_tasks() const noexcept { return n_; }
 
   /// Rows of task `t`, cost-ascending (stable). Length num_gsps().
-  [[nodiscard]] const std::size_t* gsp_order(std::size_t t) const noexcept {
+  [[nodiscard]] const std::uint16_t* gsp_order(std::size_t t) const noexcept {
     return gsp_order_.data() + t * k_;
   }
   /// Static regret of every task.
@@ -73,7 +77,7 @@ class TaskOrders {
                                          std::size_t t,
                                          const std::vector<double>& load,
                                          double below) const noexcept {
-    const std::size_t* order = gsp_order(t);
+    const std::uint16_t* order = gsp_order(t);
     for (std::size_t i = 0; i < k_; ++i) {
       const std::size_t g = order[i];
       if (!(inst.cost(g, t) < below)) break;
@@ -89,7 +93,11 @@ class TaskOrders {
 
   std::size_t k_ = 0;
   std::size_t n_ = 0;
-  std::vector<std::size_t> gsp_order_;  // n x k, row-major per task
+  // n x k, row-major per task. 16-bit rows keep the orders of the
+  // current and the next coalition of Algorithm 1's chain (both alive
+  // while the next one's seed is computed ahead) at a quarter of the
+  // memory of std::size_t rows.
+  std::vector<std::uint16_t> gsp_order_;
   std::vector<double> regret_;
   std::vector<std::size_t> by_regret_;
 };

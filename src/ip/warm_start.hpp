@@ -26,9 +26,19 @@
 
 namespace svo::ip {
 
+/// A solver's own incumbent seed for one instance: greedy construction
+/// polished by local search (BnbAssignmentSolver::seed).
+struct IncumbentSeed {
+  /// Task -> row of the instance; empty when no construction succeeded.
+  Assignment assignment;
+  /// Cost of `assignment` as local_search() reports it (may exceed the
+  /// payment cap).
+  double cost = 0.0;
+};
+
 /// Warm-start hints for one solve. Everything is optional: an empty
 /// incumbent means "no incumbent hint", null orders mean "validate the
-/// instance and sort it".
+/// instance and sort it", a null seed means "compute the seed here".
 struct WarmStart {
   /// Candidate incumbent: task -> row *of the instance being solved*.
   /// Must satisfy constraints (11)-(13) when non-empty; the payment cap
@@ -50,6 +60,12 @@ struct WarmStart {
   /// budget for: BnbOptions::warm_max_nodes caps it even when no
   /// incumbent is accepted.
   bool reverification = false;
+  /// The receiving solver's incumbent seed of exactly this instance,
+  /// computed ahead of the call from these `orders` with the solver's
+  /// own options, e.g. on another thread while a previous instance was
+  /// solved; must outlive the call. The solver uses it in place of
+  /// computing the seed, and only together with the orders.
+  const IncumbentSeed* seed = nullptr;
 
   [[nodiscard]] bool has_incumbent() const noexcept {
     return !incumbent.empty();

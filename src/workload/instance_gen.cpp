@@ -58,14 +58,19 @@ namespace {
 
 /// Fast feasibility probe: can *some* assignment satisfy (11)-(13) within
 /// payment (10)? Uses greedy construction (both orderings) + a short
-/// local search; sound "yes", heuristic "no".
-bool probe_feasible(const ip::AssignmentInstance& inst) {
+/// local search; sound "yes", heuristic "no". `orders` are the instance's
+/// TaskOrders: they depend on the costs alone, so one build serves every
+/// deadline and payment redraw.
+bool probe_feasible(const ip::AssignmentInstance& inst,
+                    const ip::TaskOrders& orders) {
   ip::GreedyOptions opts;
   opts.local_search.max_move_passes = 6;
   opts.local_search.max_swap_passes = 1;
   opts.local_search.swap_sample_per_task = 4;
   const ip::GreedyAssignmentSolver solver(opts);
-  return solver.solve(inst).has_assignment();
+  ip::WarmStart warm;
+  warm.orders = &orders;
+  return solver.solve(inst, warm).has_assignment();
 }
 
 }  // namespace
@@ -90,6 +95,8 @@ GridInstance generate_instance(const trace::ProgramSpec& program,
       generate_braun_costs(p.num_gsps, gi.workloads, opts.braun, rng);
   gi.assignment.require_all_gsps_used = true;
 
+  const ip::TaskOrders orders(gi.assignment);
+
   const double n = static_cast<double>(program.num_tasks);
   const double runtime = program.mean_task_runtime;
   double relax = 1.0;
@@ -102,7 +109,7 @@ GridInstance generate_instance(const trace::ProgramSpec& program,
     // flagged) only if the ranges themselves cannot yield feasibility.
     gi.assignment.deadline = relax * deadline_factor * runtime * n / 1000.0;
     gi.assignment.payment = relax * payment_factor * p.max_cost() * n;
-    if (probe_feasible(gi.assignment)) break;
+    if (probe_feasible(gi.assignment, orders)) break;
     ++gi.feasibility_redraws;
     if (gi.feasibility_redraws % opts.max_feasibility_redraws == 0) {
       relax *= opts.relax_step;

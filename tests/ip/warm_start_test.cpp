@@ -145,6 +145,16 @@ TEST(TaskOrdersTest, WithoutRowRejectsAMismatchedChild) {
                InvalidArgument);
 }
 
+TEST(TaskOrdersTest, RejectsMoreGspsThanSixteenBitRowsHold) {
+  AssignmentInstance inst;
+  inst.cost = linalg::Matrix(TaskOrders::kMaxGsps + 1, 1, 1.0);
+  inst.time = linalg::Matrix(TaskOrders::kMaxGsps + 1, 1, 1.0);
+  inst.deadline = 1.0;
+  inst.payment = 1.0;
+  ASSERT_EQ(inst.num_gsps(), 65536u);
+  EXPECT_THROW((void)TaskOrders(inst), InvalidArgument);
+}
+
 TEST(TaskOrdersTest, RegretOrderSeedsLikeRegretDescendingGreedy) {
   // Greedy construction in RegretDescending order inserts the tasks in
   // by_regret() order: it must be the stable descending sort of the
@@ -304,6 +314,40 @@ TEST(WarmBnbTest, IncoherentHintsAreIgnoredNotFatal) {
   EXPECT_FALSE(hot.stats.warm_start_used);
 }
 
+TEST(WarmBnbTest, HandedSeedEqualsTheSolversOwn) {
+  // A seed computed ahead with seed() changes nothing, truncated or
+  // proven; one that cannot be this instance's is ignored.
+  BnbOptions opts;
+  for (const std::size_t max_nodes : {std::size_t{40}, std::size_t{500'000}}) {
+    opts.max_nodes = max_nodes;
+    const BnbAssignmentSolver solver(opts);
+    for (std::uint64_t s = 1; s <= 12; ++s) {
+      util::Xoshiro256 rng(s + 500);
+      const AssignmentInstance inst =
+          testing::random_instance(2 + s % 6, 14, rng, s % 2 == 0);
+      SCOPED_TRACE("seed " + std::to_string(s) + ", budget " +
+                   std::to_string(max_nodes));
+      const TaskOrders orders(inst);
+      WarmStart own;
+      own.orders = &orders;
+      const AssignmentSolution want = solver.solve(inst, own);
+      IncumbentSeed ahead = solver.seed(inst, orders);
+      WarmStart handed = own;
+      handed.seed = &ahead;
+      for (int bad = 0; bad < 2; ++bad) {
+        const AssignmentSolution got = solver.solve(inst, handed);
+        EXPECT_EQ(got.stats.status, want.stats.status);
+        EXPECT_EQ(got.stats.nodes, want.stats.nodes);
+        EXPECT_EQ(got.cost, want.cost);
+        EXPECT_EQ(got.assignment, want.assignment);
+        // Next round: a row the instance lacks.
+        ahead.assignment.assign(inst.num_tasks(), inst.num_gsps());
+        ahead.cost = 0.0;
+      }
+    }
+  }
+}
+
 TEST(WarmBnbTest, WarmBudgetCapsReVerificationOnly) {
   // warm_max_nodes caps only warm-hinted solves: cold solves keep the
   // full budget, a capped warm solve truncates but keeps the incumbent,
@@ -369,6 +413,27 @@ TEST(WarmStartTest, BaseSolverDefaultIgnoresHints) {
   EXPECT_EQ(a.stats.status, b.stats.status);
   EXPECT_EQ(a.cost, b.cost);
   EXPECT_EQ(a.assignment, b.assignment);
+}
+
+TEST(WarmStartTest, GreedyReadsHandedOrders) {
+  util::Xoshiro256 rng(43);
+  const GreedyAssignmentSolver greedy;
+  for (int i = 0; i < 6; ++i) {
+    const AssignmentInstance inst =
+        testing::random_instance(3 + i, 20, rng, i % 2 == 1);
+    const AssignmentInstance other = testing::random_instance(2 + i, 20, rng);
+    const AssignmentSolution cold = greedy.solve(inst);
+    const TaskOrders orders(inst);
+    const TaskOrders wrong_shape(other);
+    for (const TaskOrders* o : {&orders, &wrong_shape}) {
+      WarmStart warm;
+      warm.orders = o;
+      const AssignmentSolution got = greedy.solve(inst, warm);
+      EXPECT_EQ(got.stats.status, cold.stats.status);
+      EXPECT_EQ(got.cost, cold.cost);
+      EXPECT_EQ(got.assignment, cold.assignment);
+    }
+  }
 }
 
 TEST(SolveStatsTest, AccumulateSumsAndLatches) {

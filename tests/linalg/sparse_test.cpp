@@ -249,5 +249,30 @@ TEST(SparsePowerMethodTest, WarmStartValidation) {
       InvalidArgument);  // non-finite
 }
 
+TEST(SparsePowerMethodTest, ZeroSumIterateFallsBackToUniform) {
+  // Undamped, every entry the smallest subnormal: each product
+  // (1/3) * denorm_min rounds to zero, so A^T x sums to zero on the
+  // first iteration and the iterate cannot be normalised.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<Triplet> triplets;
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) triplets.push_back({i, j, tiny});
+  }
+  const SparseMatrix a = SparseMatrix::from_triplets(3, 3, triplets);
+  ASSERT_EQ(a.nnz(), 9u);
+  PowerMethodOptions opts;
+  opts.damping = 0.0;
+  const std::vector<double> uniform(3, 1.0 / 3.0);
+  const PowerMethodResult sparse = sparse_power_method(a, opts);
+  EXPECT_FALSE(sparse.converged);
+  EXPECT_EQ(sparse.iterations, 1u);
+  EXPECT_EQ(sparse.eigenvector, uniform);
+  // The dense engine takes the same fallback.
+  const PowerMethodResult dense = power_method(a.to_dense(), opts);
+  EXPECT_FALSE(dense.converged);
+  EXPECT_EQ(dense.iterations, 1u);
+  EXPECT_EQ(dense.eigenvector, uniform);
+}
+
 }  // namespace
 }  // namespace svo::linalg
