@@ -1,10 +1,11 @@
 #include "core/mechanism.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <limits>
-#include <optional>
 
 #include "game/payoff.hpp"
+#include "ip/task_orders.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 
@@ -12,17 +13,19 @@ namespace svo::core {
 
 namespace {
 
-/// Cells (tasks x GSPs) of a coalition from which a warm run predicts
-/// the next removal before the solve, so the value function seeds the
-/// next coalition on a worker meanwhile (DESIGN.md §4c). The overlap
-/// pays in proportion to the seed's share of a solve. Measured on Table
-/// I chains on a 4-vCPU VM whose vCPUs at times ran in parallel and at
-/// times shared one core: in parallel windows pipelining was faster by
-/// 6 % at 2 048 cells, 10-14 % at 4 096, 15-26 % at 8 192 and 23-42 %
-/// at 16 384 (1 024 x 16); in shared windows it was 4-13 % slower at
-/// every size. From 16 384 cells the gain is at least four times that
-/// loss. It keeps 64 x 64 and the 24 x 8 service requests sequential.
-constexpr std::size_t kLookaheadMinCells = 16'384;
+/// A removal predicted before its coalition is solved: line 10's
+/// reputation of the coalition and the member choose_removal picks.
+struct Prediction {
+  game::Coalition coalition;
+  std::vector<std::size_t> members;
+  trust::ReputationResult rep;
+  std::size_t pick = SIZE_MAX;
+
+  /// The coalition the loop evaluates next.
+  [[nodiscard]] game::Coalition next() const {
+    return coalition.without(members[pick]);
+  }
+};
 
 }  // namespace
 
@@ -57,7 +60,7 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
       request.candidates.empty() ? game::Coalition::all(inst.num_gsps())
                                  : request.candidates;
   // The value function validates the instance: once per request, as
-  // every coalition instance is a restriction of it.
+  // every coalition is solved on a view of it.
   const game::VoValueFunction v(inst, solver_);
   detail::require(trust.size() == inst.num_gsps(),
                   "VoFormationMechanism::run: trust graph size != num GSPs");
@@ -92,28 +95,44 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
   bool infeasible_hit = false;
   const bool warm = request.warm_start == WarmStartPolicy::Incremental;
   game::WarmHint hint;  // stays empty unless warm
+  // Lookahead on large warm requests: line 10's reputation and the
+  // removal it leads to are known before line 5, as neither depends on
+  // the solve. Removals are predicted on a copy of the RNG advanced
+  // through the predicted picks, up to the value function's lookahead
+  // depth, so it can seed that many coalitions ahead during this solve;
+  // the real draws below stay where they were (DESIGN.md §4c).
+  // predicted.front(), when present, is the coalition being evaluated.
+  const std::size_t depth = warm ? v.lookahead_depth() : 0;
+  std::deque<Prediction> predicted;
+  util::Xoshiro256 rng_ahead = rng;  // state after the newest prediction
+  const auto predict = [&](game::Coalition x) {
+    Prediction p{x, x.members(), {}, SIZE_MAX};
+    p.rep = engine.compute(trust, p.members);
+    p.pick = choose_removal(trust, p.members, p.rep.scores, rng_ahead);
+    detail::require(p.pick < p.members.size(),
+                    "choose_removal returned an out-of-range index");
+    predicted.push_back(std::move(p));
+  };
+  const auto predictable = [&](game::Coalition x) {
+    return x.size() > 1 && inst.num_tasks() * x.size() >= ip::kPoolMinCells;
+  };
   while (!c.empty()) {
     obs::Span iter_span("core.mechanism.iteration", "core");
     if (iter_span.active()) {
       iter_span.arg("coalition_size", static_cast<double>(c.size()));
     }
     const std::vector<std::size_t> members = c.members();
-    // Lookahead on large warm requests: line 10's reputation and the
-    // removal it leads to are known before line 5, as neither depends
-    // on the solve. The removal is predicted on a copy of the RNG, so
-    // the value function can seed the next coalition during this solve
-    // while the real draw below stays where it was (DESIGN.md §4c).
-    std::optional<trust::ReputationResult> rep;
-    std::size_t predicted = SIZE_MAX;
-    hint.next = {};
-    if (warm && c.size() > 1 &&
-        inst.num_tasks() * c.size() >= kLookaheadMinCells) {
-      rep = engine.compute(trust, members);
-      util::Xoshiro256 rng_copy = rng;
-      predicted = choose_removal(trust, members, rep->scores, rng_copy);
-      detail::require(predicted < members.size(),
-                      "choose_removal returned an out-of-range index");
-      hint.next = c.without(members[predicted]);
+    hint.chain.clear();
+    if (depth > 0) {
+      if (predicted.empty() && predictable(c)) {
+        rng_ahead = rng;
+        predict(c);
+      }
+      while (!predicted.empty() && predicted.size() < depth &&
+             predictable(predicted.back().next())) {
+        predict(predicted.back().next());
+      }
+      for (const Prediction& p : predicted) hint.chain.push_back(p.next());
     }
     const game::CoalitionEvaluation& eval = v.evaluate(c, hint);  // line 5
     if (iter_span.active()) {
@@ -139,9 +158,13 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
       break;
     }
 
-    // Line 10: recompute reputation on the current VO's subgraph.
-    if (!rep) rep = engine.compute(trust, members);
-    rec.avg_local_reputation = rep->average;
+    // Line 10: recompute reputation on the current VO's subgraph, unless
+    // it was computed for the prediction.
+    trust::ReputationResult computed;
+    if (predicted.empty()) computed = engine.compute(trust, members);
+    const trust::ReputationResult& rep =
+        predicted.empty() ? computed : predicted.front().rep;
+    rec.avg_local_reputation = rep.average;
 
     if (c.size() == 1) {
       // Removing the last member would leave the empty coalition, whose
@@ -151,12 +174,13 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
     }
 
     // Lines 11-12: remove one GSP (rule differs per mechanism).
-    const std::size_t pick = choose_removal(trust, members, rep->scores, rng);
+    const std::size_t pick = choose_removal(trust, members, rep.scores, rng);
     detail::require(pick < members.size(),
                     "choose_removal returned an out-of-range index");
-    detail::require(predicted == SIZE_MAX || pick == predicted,
+    detail::require(predicted.empty() || pick == predicted.front().pick,
                     "choose_removal is not a function of its arguments and "
                     "the RNG state");
+    if (!predicted.empty()) predicted.pop_front();
     rec.removed_gsp = members[pick];
     result.journal.push_back(rec);
     if (warm) {

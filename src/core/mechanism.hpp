@@ -178,9 +178,11 @@ class VoFormationMechanism {
   /// every other entry point funnels into. Results are deterministic in
   /// (instance, trust, rng state, candidates); the warm-start policy
   /// changes solver work, never the outcome (see WarmStartPolicy). On
-  /// large Incremental requests the next coalition's incumbent seed is
-  /// computed on util::ThreadPool::global() while the current coalition
-  /// is solved (DESIGN.md §4c), which changes no outcome either.
+  /// large Incremental requests the incumbent seeds of the next
+  /// coalitions (up to game::VoValueFunction::lookahead_depth() of them)
+  /// are computed on util::ThreadPool::global() while the current
+  /// coalition is solved (DESIGN.md §4c), which changes no outcome
+  /// either.
   [[nodiscard]] MechanismResult run(const FormationRequest& request) const;
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -194,8 +196,9 @@ class VoFormationMechanism {
   /// (Algorithm 1 line 10); `trust` is provided so alternative removal
   /// rules (centrality ablations) can derive their own signal. Returns an
   /// index into `members`. Must depend on nothing but its arguments and
-  /// the RNG state: large runs also call it on a copy of `rng` before the
-  /// solve to predict the removal, and throw InvalidArgument when the
+  /// the RNG state: large runs also call it before the solves, on one
+  /// copy of `rng` advanced through the predicted picks, to predict the
+  /// removals of the next coalitions, and throw InvalidArgument when a
   /// real pick differs.
   [[nodiscard]] virtual std::size_t choose_removal(
       const trust::TrustGraph& trust, const std::vector<std::size_t>& members,

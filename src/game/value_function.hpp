@@ -11,8 +11,10 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "game/coalition.hpp"
 #include "ip/assignment.hpp"
@@ -41,11 +43,11 @@ struct CoalitionEvaluation {
 /// Warm-start hint for evaluate(): where the coalition sits in the
 /// shrinking loop. `previous` is the evaluation of the parent coalition
 /// C, `removed_gsp` the (original-index) GSP whose removal produced the
-/// coalition being evaluated, and `next` the coalition the loop
-/// evaluates after this one, when already known. The hint is advisory —
-/// warm and cold evaluations of the same coalition agree on
+/// coalition being evaluated, and `chain` the coalitions the loop
+/// evaluates after this one, as far as already known. The hint is
+/// advisory — warm and cold evaluations of the same coalition agree on
 /// feasibility, cost, value, and mapping whenever the solver runs to
-/// proof (see ip/warm_start.hpp) — and `next` changes no evaluation at
+/// proof (see ip/warm_start.hpp) — and `chain` changes no evaluation at
 /// all. A hint without `previous` evaluates cold.
 struct WarmHint {
   /// Evaluation of the parent coalition; must stay alive for the call.
@@ -53,22 +55,24 @@ struct WarmHint {
   const CoalitionEvaluation* previous = nullptr;
   /// Original GSP index removed from the parent coalition.
   std::size_t removed_gsp = SIZE_MAX;
-  /// The coalition evaluated after this one: this one minus one member,
-  /// or empty when unknown. While this one is solved, the B&B
-  /// solver's incumbent seed for `next` is computed ahead on
+  /// The coalitions evaluated after this one, in order: each is its
+  /// predecessor (this coalition for the first) minus one member. While
+  /// this one is solved, the B&B solver's incumbent seeds for the first
+  /// VoValueFunction::lookahead_depth() of them are computed ahead on
   /// util::ThreadPool::global() (DESIGN.md §4c).
-  Coalition next{};
+  std::vector<Coalition> chain;
 };
 
 /// Memoizing characteristic function. Holds references to the instance
 /// and solver; both must outlive this object.
 class VoValueFunction {
  public:
-  /// `inst` covers all m GSPs; coalitions restrict it by row.
+  /// `inst` covers all m GSPs; coalitions are solved on row views of it
+  /// (ip::InstanceView), never on copies.
   VoValueFunction(const ip::AssignmentInstance& inst,
                   const ip::AssignmentSolver& solver);
-  /// Joins the seed computed ahead for a hint's `next`, if one is in
-  /// flight.
+  /// Cancels the seeds computed ahead for a hint's `chain` and joins
+  /// them.
   ~VoValueFunction();
 
   VoValueFunction(const VoValueFunction&) = delete;
@@ -96,18 +100,26 @@ class VoValueFunction {
   /// solver as ip::WarmStart. Memoized identically to evaluate(c); a
   /// cache hit ignores the hint.
   ///
-  /// With `hint.next` set and a ip::BnbAssignmentSolver, the next
-  /// coalition's restricted instance and task orders are built here too,
-  /// and its incumbent seed (ip::BnbAssignmentSolver::seed) starts on
-  /// util::ThreadPool::global() while `c` is solved; evaluating `next`
-  /// then hands that seed to the solver (ip::WarmStart::seed). Only one
-  /// coalition is prepared at a time; evaluating another one drops it.
-  /// When the caller is a worker of that pool (waiting there on another
-  /// task can deadlock it) or the pool has fewer than two workers,
-  /// `next` is ignored and its solve computes its own seed inline.
-  /// Throws InvalidArgument when `hint.next` is set but is not `c` minus
-  /// one member.
+  /// With a ip::BnbAssignmentSolver, the first lookahead_depth()
+  /// coalitions of `hint.chain` are prepared here: each gets its view
+  /// and its task orders (derived along the chain), and its incumbent
+  /// seed (ip::BnbAssignmentSolver::seed) starts on
+  /// util::ThreadPool::global() while `c` is solved; evaluating one of
+  /// them in chain order then hands its seed to the solver
+  /// (ip::WarmStart::seed). Prepared coalitions that leave the chain
+  /// (the hint names others, or another coalition is evaluated) are
+  /// dropped: their seeds are cancelled and joined, and never reach a
+  /// solve. Throws InvalidArgument when `hint.chain` is not a chain of
+  /// single removals from `c`.
   const CoalitionEvaluation& evaluate(Coalition c, const WarmHint& hint) const;
+
+  /// How many coalitions of a hint's chain evaluate() prepares ahead
+  /// when called from this thread: one per global pool worker but one,
+  /// so the seeds and the caller's own solve all run at once; 0 for a
+  /// solver other than ip::BnbAssignmentSolver (a decorator, say), on
+  /// one of the pool's own workers (waiting there on another task can
+  /// deadlock it) and with fewer than two workers.
+  [[nodiscard]] std::size_t lookahead_depth() const noexcept;
 
   /// v(C) shortcut.
   [[nodiscard]] double value(Coalition c) const { return evaluate(c).value; }
@@ -118,23 +130,29 @@ class VoValueFunction {
   }
 
   /// Number of evaluations whose incumbent seed was computed ahead, on
-  /// the pool, during the previous evaluation (see evaluate(c, hint)).
+  /// the pool, during an earlier evaluation (see evaluate(c, hint)).
   [[nodiscard]] std::size_t seeded_ahead() const noexcept {
     return seeded_ahead_;
   }
 
  private:
-  /// One coalition's restricted instance and task orders, and the
-  /// solver's seed for them when that is being computed ahead.
-  struct Restriction;
+  /// One coalition's view and task orders, and the solver's seed for
+  /// them when that is being computed ahead.
+  struct Prepared;
 
   const CoalitionEvaluation& evaluate_impl(Coalition c,
                                            const WarmHint* hint) const;
-  /// `c`'s restriction of the instance, with task orders derived from
+  /// `c`'s view of the instance, with task orders derived from
   /// `parent_orders` (those of `parent`, c plus one GSP) or, when null,
   /// sorted.
-  [[nodiscard]] std::unique_ptr<Restriction> make_restriction(
+  [[nodiscard]] std::unique_ptr<Prepared> prepare(
       Coalition c, Coalition parent, const ip::TaskOrders* parent_orders) const;
+  /// Append `c`, the next coalition of the chain after the last one
+  /// prepared (or after `cur`, the one being evaluated), to ahead_: one
+  /// pool task derives its orders from its parent's, then seeds it.
+  void prepare_ahead(Coalition c, const Prepared& cur) const;
+  /// Cancel the seeds of ahead_[first..] and drop those coalitions.
+  void drop_ahead(std::size_t first) const;
 
   const ip::AssignmentInstance& inst_;
   const ip::AssignmentSolver& solver_;
@@ -143,14 +161,13 @@ class VoValueFunction {
   const ip::BnbAssignmentSolver* bnb_;
   mutable std::unordered_map<std::uint64_t, CoalitionEvaluation> cache_;
   /// Task orders of the last coalition solved (`orders_coalition_`):
-  /// the parent of the next warm evaluation in Algorithm 1's chain.
-  /// With those of the coalition being evaluated and of a prepared one,
-  /// at most two orders are alive at once.
+  /// the parent of the next warm evaluation in Algorithm 1's chain when
+  /// that one was not prepared.
   mutable std::unique_ptr<const ip::TaskOrders> orders_;
   mutable Coalition orders_coalition_;
-  /// The coalition a hint named as `next`, prepared ahead; its seed may
-  /// still be running on the pool.
-  mutable std::unique_ptr<Restriction> next_;
+  /// Coalitions of the last hint's chain prepared ahead, in chain order;
+  /// their seeds may still be running on the pool.
+  mutable std::deque<std::unique_ptr<Prepared>> ahead_;
   mutable std::size_t seeded_ahead_ = 0;
 };
 

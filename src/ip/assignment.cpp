@@ -1,5 +1,6 @@
 #include "ip/assignment.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -12,6 +13,11 @@ AssignmentSolution AssignmentSolver::solve(const AssignmentInstance& inst,
   return solve(inst);
 }
 
+AssignmentSolution AssignmentSolver::solve_view(const InstanceView& view,
+                                                const WarmStart& warm) const {
+  return solve(view.materialize(), warm);
+}
+
 const char* to_string(AssignStatus s) noexcept {
   switch (s) {
     case AssignStatus::Optimal: return "Optimal";
@@ -22,9 +28,69 @@ const char* to_string(AssignStatus s) noexcept {
   return "Invalid";
 }
 
-void AssignmentInstance::validate() const {
-  detail::require(cost.rows() == time.rows() && cost.cols() == time.cols(),
+void AssignmentInstance::validate() const { InstanceView(*this).validate(); }
+
+AssignmentInstance AssignmentInstance::restrict_to(
+    const std::vector<bool>& keep,
+    std::vector<std::size_t>* original_gsps) const {
+  if (keep.size() != num_gsps()) {
+    throw DimensionMismatch("AssignmentInstance::restrict_to: bad keep size");
+  }
+  std::vector<std::size_t> rows;
+  for (std::size_t g = 0; g < num_gsps(); ++g) {
+    if (keep[g]) rows.push_back(g);
+  }
+  AssignmentInstance sub = InstanceView(*this, rows).materialize();
+  if (original_gsps != nullptr) *original_gsps = std::move(rows);
+  return sub;
+}
+
+namespace {
+
+void require_same_shape(const AssignmentInstance& inst) {
+  detail::require(inst.cost.rows() == inst.time.rows() &&
+                      inst.cost.cols() == inst.time.cols(),
                   "AssignmentInstance: cost/time shape mismatch");
+}
+
+}  // namespace
+
+InstanceView::InstanceView(const AssignmentInstance& inst)
+    : deadline(inst.deadline),
+      payment(inst.payment),
+      require_all_gsps_used(inst.require_all_gsps_used),
+      n_(inst.num_tasks()),
+      rows_(inst.num_gsps()),
+      cost_(inst.num_gsps()),
+      time_(inst.num_gsps()) {
+  require_same_shape(inst);
+  for (std::size_t g = 0; g < rows_.size(); ++g) {
+    rows_[g] = g;
+    cost_[g] = inst.cost.row(g).data();
+    time_[g] = inst.time.row(g).data();
+  }
+}
+
+InstanceView::InstanceView(const AssignmentInstance& inst,
+                           std::vector<std::size_t> rows)
+    : deadline(inst.deadline),
+      payment(inst.payment),
+      require_all_gsps_used(inst.require_all_gsps_used),
+      n_(inst.num_tasks()),
+      rows_(std::move(rows)),
+      cost_(rows_.size()),
+      time_(rows_.size()) {
+  require_same_shape(inst);
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    detail::require(rows_[r] < inst.num_gsps() &&
+                        (r == 0 || rows_[r - 1] < rows_[r]),
+                    "InstanceView: rows must ascend strictly within range");
+    cost_[r] = inst.cost.row(rows_[r]).data();
+    time_[r] = inst.time.row(rows_[r]).data();
+  }
+}
+
+void InstanceView::validate() const {
   detail::require(num_gsps() > 0 && num_tasks() > 0,
                   "AssignmentInstance: empty instance");
   detail::require(deadline > 0.0, "AssignmentInstance: deadline must be > 0");
@@ -38,33 +104,21 @@ void AssignmentInstance::validate() const {
   }
 }
 
-AssignmentInstance AssignmentInstance::restrict_to(
-    const std::vector<bool>& keep,
-    std::vector<std::size_t>* original_gsps) const {
-  if (keep.size() != num_gsps()) {
-    throw DimensionMismatch("AssignmentInstance::restrict_to: bad keep size");
-  }
-  std::vector<std::size_t> rows;
+AssignmentInstance InstanceView::materialize() const {
+  AssignmentInstance out;
+  out.cost = linalg::Matrix(num_gsps(), num_tasks());
+  out.time = linalg::Matrix(num_gsps(), num_tasks());
   for (std::size_t g = 0; g < num_gsps(); ++g) {
-    if (keep[g]) rows.push_back(g);
+    std::copy(cost_[g], cost_[g] + n_, out.cost.row(g).begin());
+    std::copy(time_[g], time_[g] + n_, out.time.row(g).begin());
   }
-  AssignmentInstance sub;
-  sub.cost = linalg::Matrix(rows.size(), num_tasks());
-  sub.time = linalg::Matrix(rows.size(), num_tasks());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t t = 0; t < num_tasks(); ++t) {
-      sub.cost(r, t) = cost(rows[r], t);
-      sub.time(r, t) = time(rows[r], t);
-    }
-  }
-  sub.deadline = deadline;
-  sub.payment = payment;
-  sub.require_all_gsps_used = require_all_gsps_used;
-  if (original_gsps != nullptr) *original_gsps = std::move(rows);
-  return sub;
+  out.deadline = deadline;
+  out.payment = payment;
+  out.require_all_gsps_used = require_all_gsps_used;
+  return out;
 }
 
-double assignment_cost(const AssignmentInstance& inst, const Assignment& a) {
+double assignment_cost(const InstanceView& inst, const Assignment& a) {
   if (a.size() != inst.num_tasks()) {
     throw DimensionMismatch("assignment_cost: assignment arity != num_tasks");
   }
@@ -77,7 +131,7 @@ double assignment_cost(const AssignmentInstance& inst, const Assignment& a) {
   return acc;
 }
 
-std::string check_feasible(const AssignmentInstance& inst, const Assignment& a,
+std::string check_feasible(const InstanceView& inst, const Assignment& a,
                            double tol) {
   if (a.size() != inst.num_tasks()) {
     return "arity: assignment size != number of tasks";  // violates (12)

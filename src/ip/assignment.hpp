@@ -9,9 +9,10 @@
 ///              sigma binary                                        (14)
 ///
 /// Instances index GSPs as rows (g in [0, k)) and tasks as columns
-/// (t in [0, n)). Several solvers implement AssignmentSolver; all accept
-/// an arbitrary GSP subset (a coalition) via the instance construction
-/// helpers, so the mechanism never copies matrices per coalition.
+/// (t in [0, n)). Every kernel of this layer reads an instance through
+/// an InstanceView: a GSP subset (a coalition) is a view of the rows of
+/// the request's instance, so the mechanism never copies matrices per
+/// coalition; an AssignmentInstance converts to its full view.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +43,69 @@ struct AssignmentInstance {
   /// Validate shape/value invariants; throws InvalidArgument on violation.
   void validate() const;
 
-  /// Restriction of this instance to the GSPs with keep[g] == true
-  /// (coalition view). `original_gsps`, when non-null, receives the
-  /// mapping restricted-row -> original-row.
+  /// Copy of this instance restricted to the GSPs with keep[g] == true.
+  /// `original_gsps`, when non-null, receives the mapping
+  /// restricted-row -> original-row. The mechanism solves coalitions on
+  /// InstanceViews instead; the copy is for callers that need an
+  /// instance of their own: sim::multi_program (which runs a whole
+  /// mechanism on the free GSPs), the default
+  /// AssignmentSolver::solve_view (InstanceView::materialize builds the
+  /// same copy), the examples, perfbench's per-layer replay and tests.
   [[nodiscard]] AssignmentInstance restrict_to(
       const std::vector<bool>& keep,
       std::vector<std::size_t>* original_gsps = nullptr) const;
+};
+
+/// Some rows of an AssignmentInstance (the *parent*), renumbered 0..k-1
+/// in ascending parent order and read in place: the instance
+/// restrict_to would copy, without the copy. It holds one pointer per
+/// row into the parent's cost and time matrices, so it is O(k) to build
+/// and reads the very doubles the copy would hold; the parent must
+/// outlive it. Every kernel of this layer (the B&B search, greedy
+/// construction, local search, repair, TaskOrders, check_feasible,
+/// assignment_cost) takes a view.
+class InstanceView {
+ public:
+  /// The full view: every row of `inst`, in order. Implicit, so an
+  /// AssignmentInstance can be passed wherever a view is read. Throws
+  /// InvalidArgument when cost and time differ in shape.
+  InstanceView(const AssignmentInstance& inst);  // NOLINT(*-explicit-*)
+  /// Rows `rows` of `inst` (strictly ascending): row r of the view is
+  /// row rows[r] of `inst`. Throws InvalidArgument when cost and time
+  /// differ in shape or `rows` is not strictly ascending within range.
+  InstanceView(const AssignmentInstance& inst, std::vector<std::size_t> rows);
+
+  [[nodiscard]] std::size_t num_gsps() const noexcept { return rows_.size(); }
+  [[nodiscard]] std::size_t num_tasks() const noexcept { return n_; }
+  /// c(g, t) of view row g: the parent's cost(original_gsps()[g], t).
+  [[nodiscard]] double cost(std::size_t g, std::size_t t) const noexcept {
+    return cost_[g][t];
+  }
+  /// t(g, t) of view row g.
+  [[nodiscard]] double time(std::size_t g, std::size_t t) const noexcept {
+    return time_[g][t];
+  }
+  /// View row -> parent row.
+  [[nodiscard]] const std::vector<std::size_t>& original_gsps() const noexcept {
+    return rows_;
+  }
+
+  /// AssignmentInstance::validate() of the instance this view shows.
+  void validate() const;
+  /// The instance this view shows, copied: equal to the parent's
+  /// restrict_to of the same rows.
+  [[nodiscard]] AssignmentInstance materialize() const;
+
+  /// The parent's deadline d, payment P and constraint-(13) switch.
+  double deadline = 0.0;
+  double payment = 0.0;
+  bool require_all_gsps_used = true;
+
+ private:
+  std::size_t n_ = 0;
+  std::vector<std::size_t> rows_;
+  std::vector<const double*> cost_;
+  std::vector<const double*> time_;
 };
 
 /// Task -> GSP mapping: assignment[t] = row index of the GSP executing t.
@@ -113,12 +171,12 @@ struct AssignmentSolution {
 };
 
 /// Total cost of `a` on `inst`. Throws DimensionMismatch on bad arity.
-[[nodiscard]] double assignment_cost(const AssignmentInstance& inst,
+[[nodiscard]] double assignment_cost(const InstanceView& inst,
                                      const Assignment& a);
 
 /// Check every IP constraint (10)-(13) for `a`; returns an empty string
 /// when feasible, else a description of the first violated constraint.
-[[nodiscard]] std::string check_feasible(const AssignmentInstance& inst,
+[[nodiscard]] std::string check_feasible(const InstanceView& inst,
                                          const Assignment& a,
                                          double tol = 1e-9);
 
@@ -139,6 +197,14 @@ class AssignmentSolver {
   /// solver correct without modification.
   [[nodiscard]] virtual AssignmentSolution solve(const AssignmentInstance& inst,
                                                 const WarmStart& warm) const;
+  /// Warm-started solve of the instance `view` shows, with every hint
+  /// in view rows. The default materializes the view (the restrict_to
+  /// copy) and calls solve(inst, warm), so a decorator sees exactly one
+  /// solve() per call; a solver that reads views overrides it to skip
+  /// the copy. The view's parent must be valid (validated once by the
+  /// caller).
+  [[nodiscard]] virtual AssignmentSolution solve_view(
+      const InstanceView& view, const WarmStart& warm) const;
   /// Identifying name for logs and benchmark tables.
   [[nodiscard]] virtual std::string name() const = 0;
 };

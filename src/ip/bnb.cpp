@@ -19,7 +19,7 @@ constexpr double kEps = 1e-9;
 class Search {
  public:
   /// `orders` are the TaskOrders of `inst`; the search only reads them.
-  Search(const AssignmentInstance& inst, const TaskOrders& orders,
+  Search(const InstanceView& inst, const TaskOrders& orders,
          const BnbOptions& opts)
       : inst_(inst),
         orders_(orders),
@@ -129,7 +129,7 @@ class Search {
     }
   }
 
-  const AssignmentInstance& inst_;
+  const InstanceView& inst_;
   const TaskOrders& orders_;
   const BnbOptions& opts_;
   std::size_t k_;
@@ -149,18 +149,23 @@ class Search {
 
 }  // namespace
 
-IncumbentSeed BnbAssignmentSolver::seed(const AssignmentInstance& inst,
-                                        const TaskOrders& orders) const {
+IncumbentSeed BnbAssignmentSolver::seed(const InstanceView& inst,
+                                        const TaskOrders& orders,
+                                        std::stop_token stop) const {
   IncumbentSeed out;
   if (!opts_.seed_with_greedy) return out;
-  out.assignment =
-      greedy_construct(inst, orders, GreedyOptions::Order::RegretDescending);
-  if (out.assignment.empty()) {
-    out.assignment =
-        greedy_construct(inst, orders, GreedyOptions::Order::TimeDescending);
+  out.assignment = greedy_construct(
+      inst, orders, GreedyOptions::Order::RegretDescending, stop);
+  if (out.assignment.empty() && !stop.stop_requested()) {
+    out.assignment = greedy_construct(
+        inst, orders, GreedyOptions::Order::TimeDescending, stop);
   }
   if (!out.assignment.empty()) {
-    out.cost = local_search(inst, orders, out.assignment, opts_.polish);
+    out.cost = local_search(inst, orders, out.assignment, opts_.polish, stop);
+  }
+  if (stop.stop_requested()) {
+    out = IncumbentSeed{};
+    out.cancelled = true;
   }
   return out;
 }
@@ -175,23 +180,27 @@ AssignmentSolution BnbAssignmentSolver::solve(const AssignmentInstance& inst,
   return solve_impl(inst, &warm);
 }
 
+AssignmentSolution BnbAssignmentSolver::solve_view(const InstanceView& view,
+                                                   const WarmStart& warm) const {
+  return solve_impl(view, &warm);
+}
+
 AssignmentSolution BnbAssignmentSolver::solve_impl(
-    const AssignmentInstance& inst, const WarmStart* warm) const {
+    const InstanceView& inst, const WarmStart* warm) const {
   // Orders handed in with the hint come from a validated instance; any
   // other instance is outside input, validated and sorted here. The
-  // O(1) shape check keeps a mismatched hint from reading out of bounds.
+  // O(1) shape check keeps a mismatched hint from reading out of bounds
+  // (a view's cost and time always agree in shape).
   const TaskOrders* orders = nullptr;
   const IncumbentSeed* ahead = nullptr;  // seed computed before the call
   if (warm != nullptr && warm->orders != nullptr &&
       warm->orders->num_gsps() == inst.num_gsps() &&
-      warm->orders->num_tasks() == inst.num_tasks() &&
-      inst.time.rows() == inst.num_gsps() &&
-      inst.time.cols() == inst.num_tasks()) {
+      warm->orders->num_tasks() == inst.num_tasks()) {
     orders = warm->orders;
     // A seed that cannot be this instance's is ignored: it must not
-    // index rows the instance lacks.
+    // index rows the instance lacks. Nor is a cancelled one used.
     const IncumbentSeed* s = warm->seed;
-    if (s != nullptr &&
+    if (s != nullptr && !s->cancelled &&
         (s->assignment.empty() ||
          (s->assignment.size() == inst.num_tasks() &&
           std::all_of(s->assignment.begin(), s->assignment.end(),

@@ -13,6 +13,8 @@
 ///    deadline capacity (11), and a coverage counting argument for (13).
 #pragma once
 
+#include <stop_token>
+
 #include "ip/assignment.hpp"
 #include "ip/local_search.hpp"
 #include "ip/warm_start.hpp"
@@ -54,6 +56,9 @@ class BnbAssignmentSolver final : public AssignmentSolver {
   /// proof returns the same status and cost as the cold solve.
   [[nodiscard]] AssignmentSolution solve(const AssignmentInstance& inst,
                                          const WarmStart& warm) const override;
+  /// The warm-started solve, run on the view in place: no copy.
+  [[nodiscard]] AssignmentSolution solve_view(
+      const InstanceView& view, const WarmStart& warm) const override;
   [[nodiscard]] std::string name() const override { return "bnb"; }
 
   /// The incumbent seed a solve computes before its search: greedy
@@ -62,15 +67,18 @@ class BnbAssignmentSolver final : public AssignmentSolver {
   /// seed_with_greedy is off or no construction succeeds. A pure function
   /// of (inst, orders, options), so a caller may compute it ahead, on any
   /// thread, and hand it to solve() as WarmStart::seed with no change in
-  /// the outcome. Precondition: `orders` are the TaskOrders of `inst`, a
-  /// valid instance.
-  [[nodiscard]] IncumbentSeed seed(const AssignmentInstance& inst,
-                                   const TaskOrders& orders) const;
+  /// the outcome. Once `stop` is requested the computation ends early
+  /// and returns an empty seed marked IncumbentSeed::cancelled, which
+  /// solve() ignores. Precondition: `orders` are the TaskOrders of
+  /// `inst`, a view of a valid instance.
+  [[nodiscard]] IncumbentSeed seed(const InstanceView& inst,
+                                   const TaskOrders& orders,
+                                   std::stop_token stop = {}) const;
 
   [[nodiscard]] const BnbOptions& options() const noexcept { return opts_; }
 
  private:
-  [[nodiscard]] AssignmentSolution solve_impl(const AssignmentInstance& inst,
+  [[nodiscard]] AssignmentSolution solve_impl(const InstanceView& inst,
                                               const WarmStart* warm) const;
 
   BnbOptions opts_;

@@ -10,7 +10,7 @@ namespace {
 
 constexpr double kTieEps = 1e-12;
 
-double max_time(const AssignmentInstance& inst, std::size_t t) {
+double max_time(const InstanceView& inst, std::size_t t) {
   double mx = 0.0;
   for (std::size_t g = 0; g < inst.num_gsps(); ++g) {
     mx = std::max(mx, inst.time(g, t));
@@ -23,7 +23,7 @@ double max_time(const AssignmentInstance& inst, std::size_t t) {
 /// a tie goes to the larger slack. The rule is not transitive on costs
 /// that differ by less than kTieEps, so only a row-order scan defines
 /// it there.
-std::size_t row_order_insertion(const AssignmentInstance& inst, std::size_t t,
+std::size_t row_order_insertion(const InstanceView& inst, std::size_t t,
                                 const std::vector<double>& load) {
   std::size_t best_g = SIZE_MAX;
   double best_c = std::numeric_limits<double>::infinity();
@@ -49,7 +49,7 @@ std::size_t row_order_insertion(const AssignmentInstance& inst, std::size_t t,
 /// larger slack settles the tie. When the next dearer row costs less
 /// than c0 + kTieEps, or c0 is not below its cost - kTieEps, the scan
 /// could chain through it, and the task falls back to the row-order scan.
-std::size_t insertion_row(const AssignmentInstance& inst,
+std::size_t insertion_row(const InstanceView& inst,
                           const TaskOrders& orders, std::size_t t,
                           const std::vector<double>& load) {
   const std::size_t k = inst.num_gsps();
@@ -86,9 +86,11 @@ std::size_t insertion_row(const AssignmentInstance& inst,
   return best_g;
 }
 
-/// Insert the tasks in `task_order`, then repair coverage (13).
-Assignment construct(const AssignmentInstance& inst, const TaskOrders& orders,
-                     const std::vector<std::size_t>& task_order) {
+/// Insert the tasks in `task_order`, then repair coverage (13); empty
+/// once `stop` is requested.
+Assignment construct(const InstanceView& inst, const TaskOrders& orders,
+                     const std::vector<std::size_t>& task_order,
+                     const std::stop_token& stop) {
   const std::size_t k = inst.num_gsps();
   const std::size_t n = inst.num_tasks();
   if (inst.require_all_gsps_used && k > n) return {};
@@ -97,6 +99,7 @@ Assignment construct(const AssignmentInstance& inst, const TaskOrders& orders,
   std::vector<double> load(k, 0.0);
   std::vector<std::size_t> count(k, 0);
   for (const std::size_t t : task_order) {
+    if (stop.stop_requested()) return {};
     const std::size_t g = insertion_row(inst, orders, t, load);
     if (g == SIZE_MAX) return {};  // no GSP can still take this task
     a[t] = g;
@@ -139,17 +142,18 @@ Assignment construct(const AssignmentInstance& inst, const TaskOrders& orders,
 Assignment greedy_construct(const AssignmentInstance& inst,
                             GreedyOptions::Order order) {
   inst.validate();
-  return greedy_construct(inst, TaskOrders(inst), order);
+  const InstanceView view(inst);
+  return greedy_construct(view, TaskOrders(view), order);
 }
 
-Assignment greedy_construct(const AssignmentInstance& inst,
-                            const TaskOrders& orders,
-                            GreedyOptions::Order order) {
+Assignment greedy_construct(const InstanceView& inst, const TaskOrders& orders,
+                            GreedyOptions::Order order,
+                            std::stop_token stop) {
   detail::require(orders.num_gsps() == inst.num_gsps() &&
                       orders.num_tasks() == inst.num_tasks(),
                   "greedy_construct: task orders of another instance");
   if (order == GreedyOptions::Order::RegretDescending) {
-    return construct(inst, orders, orders.by_regret());
+    return construct(inst, orders, orders.by_regret(), stop);
   }
   const std::size_t n = inst.num_tasks();
   std::vector<std::size_t> task_order(n);
@@ -158,27 +162,29 @@ Assignment greedy_construct(const AssignmentInstance& inst,
   for (std::size_t t = 0; t < n; ++t) key[t] = max_time(inst, t);
   std::stable_sort(task_order.begin(), task_order.end(),
                    [&](std::size_t a, std::size_t b) { return key[a] > key[b]; });
-  return construct(inst, orders, task_order);
+  return construct(inst, orders, task_order, stop);
 }
 
 AssignmentSolution GreedyAssignmentSolver::solve(
     const AssignmentInstance& inst) const {
   inst.validate();
-  return solve_over(inst, TaskOrders(inst));
+  const InstanceView view(inst);
+  return solve_over(view, TaskOrders(view));
 }
 
 AssignmentSolution GreedyAssignmentSolver::solve(const AssignmentInstance& inst,
                                                  const WarmStart& warm) const {
   inst.validate();
+  const InstanceView view(inst);
   if (warm.orders != nullptr && warm.orders->num_gsps() == inst.num_gsps() &&
       warm.orders->num_tasks() == inst.num_tasks()) {
-    return solve_over(inst, *warm.orders);
+    return solve_over(view, *warm.orders);
   }
-  return solve_over(inst, TaskOrders(inst));
+  return solve_over(view, TaskOrders(view));
 }
 
 AssignmentSolution GreedyAssignmentSolver::solve_over(
-    const AssignmentInstance& inst, const TaskOrders& orders) const {
+    const InstanceView& inst, const TaskOrders& orders) const {
   AssignmentSolution sol;
   Assignment a =
       greedy_construct(inst, orders, GreedyOptions::Order::RegretDescending);

@@ -7,6 +7,8 @@
 /// instance's TaskOrders (ip/task_orders.hpp).
 #pragma once
 
+#include <stop_token>
+
 #include "ip/assignment.hpp"
 #include "ip/local_search.hpp"
 #include "ip/task_orders.hpp"
@@ -43,7 +45,7 @@ class GreedyAssignmentSolver final : public AssignmentSolver {
   [[nodiscard]] std::string name() const override { return "greedy"; }
 
  private:
-  [[nodiscard]] AssignmentSolution solve_over(const AssignmentInstance& inst,
+  [[nodiscard]] AssignmentSolution solve_over(const InstanceView& inst,
                                               const TaskOrders& orders) const;
 
   GreedyOptions opts_;
@@ -55,13 +57,15 @@ class GreedyAssignmentSolver final : public AssignmentSolver {
 [[nodiscard]] Assignment greedy_construct(const AssignmentInstance& inst,
                                           GreedyOptions::Order order);
 
-/// Construction over `orders`, the TaskOrders of `inst` (a valid
-/// instance); the B&B seeds from it with its own polish. The
+/// Construction over `orders`, the TaskOrders of `inst` (a view of a
+/// valid instance); the B&B seeds from it with its own polish. The
 /// RegretDescending order is orders.by_regret(). Each task goes to the
 /// first GSP in its cost order that fits, or to an equally cheap one
-/// with more slack left.
-[[nodiscard]] Assignment greedy_construct(const AssignmentInstance& inst,
+/// with more slack left. `stop` is polled before each insertion; once
+/// it is requested the construction gives up and returns empty.
+[[nodiscard]] Assignment greedy_construct(const InstanceView& inst,
                                           const TaskOrders& orders,
-                                          GreedyOptions::Order order);
+                                          GreedyOptions::Order order,
+                                          std::stop_token stop = {});
 
 }  // namespace svo::ip

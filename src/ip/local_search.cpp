@@ -9,13 +9,21 @@ namespace svo::ip {
 
 namespace {
 
+/// Tasks a pass handles between two polls of its stop token.
+constexpr std::size_t kStopPollTasks = 256;
+
+/// Whether a pass at task `t` should give up.
+bool stopped(const std::stop_token& stop, std::size_t t) {
+  return t % kStopPollTasks == 0 && stop.stop_requested();
+}
+
 /// Mutable view of an assignment's per-GSP state.
 struct State {
   std::vector<double> load;             // summed time per GSP
   std::vector<std::size_t> task_count;  // tasks per GSP
   double cost = 0.0;
 
-  State(const AssignmentInstance& inst, const Assignment& a)
+  State(const InstanceView& inst, const Assignment& a)
       : load(inst.num_gsps(), 0.0), task_count(inst.num_gsps(), 0) {
     for (std::size_t t = 0; t < a.size(); ++t) {
       load[a[t]] += inst.time(a[t], t);
@@ -26,11 +34,13 @@ struct State {
 };
 
 /// One relocation pass; returns true if any move improved the cost.
-/// Each task moves to its cheapest strictly cheaper GSP that fits.
-bool move_pass(const AssignmentInstance& inst, const TaskOrders& orders,
-               Assignment& a, State& st) {
+/// Each task moves to its cheapest strictly cheaper GSP that fits. A
+/// stopped pass returns false.
+bool move_pass(const InstanceView& inst, const TaskOrders& orders,
+               Assignment& a, State& st, const std::stop_token& stop) {
   bool improved = false;
   for (std::size_t t = 0; t < a.size(); ++t) {
+    if (stopped(stop, t)) return false;
     const std::size_t from = a[t];
     // Donor must keep at least one task when (13) is enforced.
     if (inst.require_all_gsps_used && st.task_count[from] <= 1) continue;
@@ -50,7 +60,7 @@ bool move_pass(const AssignmentInstance& inst, const TaskOrders& orders,
 
 /// Try swapping the GSPs of tasks t and u; applies and returns true when
 /// the swap is cost-improving and feasible.
-bool try_swap(const AssignmentInstance& inst, Assignment& a, State& st,
+bool try_swap(const InstanceView& inst, Assignment& a, State& st,
               std::size_t t, std::size_t u) {
   const std::size_t gt = a[t];
   const std::size_t gu = a[u];
@@ -75,11 +85,13 @@ bool try_swap(const AssignmentInstance& inst, Assignment& a, State& st,
 double local_search(const AssignmentInstance& inst, Assignment& a,
                     const LocalSearchOptions& opts) {
   inst.validate();
-  return local_search(inst, TaskOrders(inst), a, opts);
+  const InstanceView view(inst);
+  return local_search(view, TaskOrders(view), a, opts);
 }
 
-double local_search(const AssignmentInstance& inst, const TaskOrders& orders,
-                    Assignment& a, const LocalSearchOptions& opts) {
+double local_search(const InstanceView& inst, const TaskOrders& orders,
+                    Assignment& a, const LocalSearchOptions& opts,
+                    std::stop_token stop) {
   detail::require(orders.num_gsps() == inst.num_gsps() &&
                       orders.num_tasks() == inst.num_tasks(),
                   "local_search: task orders of another instance");
@@ -90,7 +102,7 @@ double local_search(const AssignmentInstance& inst, const TaskOrders& orders,
                   "local_search: entry assignment violates (11)-(13)");
   State st(inst, a);
   for (std::size_t pass = 0; pass < opts.max_move_passes; ++pass) {
-    if (!move_pass(inst, orders, a, st)) break;
+    if (!move_pass(inst, orders, a, st, stop)) break;
   }
   if (opts.max_swap_passes > 0 && inst.num_gsps() > 1 && a.size() > 1) {
     util::Xoshiro256 rng(opts.seed);
@@ -98,12 +110,14 @@ double local_search(const AssignmentInstance& inst, const TaskOrders& orders,
       bool improved = false;
       if (opts.swap_sample_per_task == 0) {
         for (std::size_t t = 0; t + 1 < a.size(); ++t) {
+          if (stopped(stop, t)) return st.cost;
           for (std::size_t u = t + 1; u < a.size(); ++u) {
             improved |= try_swap(inst, a, st, t, u);
           }
         }
       } else {
         for (std::size_t t = 0; t < a.size(); ++t) {
+          if (stopped(stop, t)) return st.cost;
           for (std::size_t s = 0; s < opts.swap_sample_per_task; ++s) {
             const std::size_t u = rng.index(a.size());
             if (u != t) improved |= try_swap(inst, a, st, t, u);
@@ -112,7 +126,7 @@ double local_search(const AssignmentInstance& inst, const TaskOrders& orders,
       }
       // A swap pass may open relocation opportunities.
       if (improved) {
-        while (move_pass(inst, orders, a, st)) {
+        while (move_pass(inst, orders, a, st, stop)) {
         }
       } else {
         break;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stop_token>
 
 #include "ip/assignment.hpp"
 #include "ip/task_orders.hpp"
@@ -33,11 +34,14 @@ struct LocalSearchOptions {
 double local_search(const AssignmentInstance& inst, Assignment& a,
                     const LocalSearchOptions& opts = {});
 
-/// local_search() over `orders`, the TaskOrders of `inst` (a valid
-/// instance). Relocations walk each task's cost order and stop at the
-/// first fit or at the task's current cost, so a task that already sits
-/// on its cheapest GSP costs one comparison per pass.
-double local_search(const AssignmentInstance& inst, const TaskOrders& orders,
-                    Assignment& a, const LocalSearchOptions& opts = {});
+/// local_search() over `orders`, the TaskOrders of `inst` (a view of a
+/// valid instance). Relocations walk each task's cost order and stop at
+/// the first fit or at the task's current cost, so a task that already
+/// sits on its cheapest GSP costs one comparison per pass. `stop` is
+/// polled every 256 tasks of a pass; once it is requested the search
+/// returns with `a` feasible but not polished to the end.
+double local_search(const InstanceView& inst, const TaskOrders& orders,
+                    Assignment& a, const LocalSearchOptions& opts = {},
+                    std::stop_token stop = {});
 
 }  // namespace svo::ip

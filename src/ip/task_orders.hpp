@@ -31,6 +31,19 @@
 
 namespace svo::ip {
 
+/// Cells (tasks x GSPs) from which work on one instance is split across
+/// util::ThreadPool::global(): TaskOrders places its tasks in blocks on
+/// the pool, and a warm mechanism run seeds coalitions ahead there
+/// (core/mechanism.cpp, DESIGN.md §4c). The overlap pays in proportion
+/// to the seed's share of a solve. Measured on Table I chains on a
+/// 4-vCPU VM whose vCPUs at times ran in parallel and at times shared
+/// one core: in parallel windows seeding one coalition ahead was faster
+/// by 6 % at 2 048 cells, 10-14 % at 4 096, 15-26 % at 8 192 and 23-42 %
+/// at 16 384 (1 024 x 16); in shared windows it was 4-13 % slower at
+/// every size. From 16 384 cells the gain is at least four times that
+/// loss. It keeps 64 x 64 and the 24 x 8 service requests sequential.
+inline constexpr std::size_t kPoolMinCells = 16'384;
+
 class TaskOrders {
  public:
   /// The most GSPs an instance may have: rows are stored in 16 bits.
@@ -38,17 +51,32 @@ class TaskOrders {
 
   /// Sort `inst`. Precondition: `inst.validate()` passes. It is not
   /// re-checked here: the solver entry points validate outside input
-  /// once, and a restriction of a valid instance is valid. Throws
-  /// InvalidArgument when `inst` has more than kMaxGsps GSPs.
-  explicit TaskOrders(const AssignmentInstance& inst);
+  /// once, and a view of a valid instance is valid. From kPoolMinCells
+  /// cells the tasks are placed in blocks on util::ThreadPool::global()
+  /// (inline on one of its workers or with a single worker); the result
+  /// is the same. Throws InvalidArgument when `inst` has more than
+  /// kMaxGsps GSPs.
+  explicit TaskOrders(const InstanceView& inst);
 
   /// Orders of `child`: this instance with row `removed_row` deleted,
-  /// the surviving rows renumbered in order (what restrict_to builds).
-  /// Only tasks whose two cheapest GSPs included the removed row get a
-  /// new regret; they alone are re-sorted and merged back into the
-  /// regret order. Throws InvalidArgument when the shapes disagree.
-  [[nodiscard]] TaskOrders without_row(const AssignmentInstance& child,
+  /// the surviving rows renumbered in order (what a view or restrict_to
+  /// of the other rows shows). Only tasks whose two cheapest GSPs
+  /// included the removed row get a new regret; they alone are
+  /// re-sorted and merged back into the regret order. Throws
+  /// InvalidArgument when the shapes disagree.
+  [[nodiscard]] TaskOrders without_row(const InstanceView& child,
                                        std::size_t removed_row) const;
+  /// without_row() built in the buffers of `storage` (whatever it held):
+  /// a thread that derives orders for another to keep and free can take
+  /// buffers that thread allocated (with_capacity), so they are not left
+  /// in the deriving thread's malloc arena.
+  [[nodiscard]] TaskOrders without_row(const InstanceView& child,
+                                       std::size_t removed_row,
+                                       TaskOrders storage) const;
+  /// Orders of no instance whose buffers fit those of a `num_gsps` x
+  /// `num_tasks` one: storage for without_row.
+  [[nodiscard]] static TaskOrders with_capacity(std::size_t num_gsps,
+                                                std::size_t num_tasks);
 
   [[nodiscard]] std::size_t num_gsps() const noexcept { return k_; }
   [[nodiscard]] std::size_t num_tasks() const noexcept { return n_; }
@@ -73,7 +101,7 @@ class TaskOrders {
   /// This is what a scan of every row keeping the first strictly
   /// cheaper fit returns, found by walking gsp_order(t) and stopping at
   /// the first fit or the first row that costs `below` or more.
-  [[nodiscard]] std::size_t cheapest_fit(const AssignmentInstance& inst,
+  [[nodiscard]] std::size_t cheapest_fit(const InstanceView& inst,
                                          std::size_t t,
                                          const std::vector<double>& load,
                                          double below) const noexcept {
@@ -94,9 +122,9 @@ class TaskOrders {
   std::size_t k_ = 0;
   std::size_t n_ = 0;
   // n x k, row-major per task. 16-bit rows keep the orders of the
-  // current and the next coalition of Algorithm 1's chain (both alive
-  // while the next one's seed is computed ahead) at a quarter of the
-  // memory of std::size_t rows.
+  // current coalition of Algorithm 1's chain and of the ones prepared
+  // ahead of it (all alive while their seeds are computed) at a quarter
+  // of the memory of std::size_t rows.
   std::vector<std::uint16_t> gsp_order_;
   std::vector<double> regret_;
   std::vector<std::size_t> by_regret_;

@@ -5,7 +5,7 @@
 
 namespace svo::ip {
 
-RepairResult repair_for_removal(const AssignmentInstance& inst,
+RepairResult repair_for_removal(const InstanceView& inst,
                                 const TaskOrders& orders,
                                 const std::vector<std::size_t>& rows,
                                 const Assignment& parent_assignment,

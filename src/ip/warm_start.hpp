@@ -34,6 +34,9 @@ struct IncumbentSeed {
   /// Cost of `assignment` as local_search() reports it (may exceed the
   /// payment cap).
   double cost = 0.0;
+  /// True when the computation was stopped before its end: the seed is
+  /// not the solver's own, and a solver handed it ignores it.
+  bool cancelled = false;
 };
 
 /// Warm-start hints for one solve. Everything is optional: an empty
@@ -100,7 +103,7 @@ struct RepairResult {
 /// passes). The result satisfies (11)-(13) by construction whenever ok
 /// is true.
 [[nodiscard]] RepairResult repair_for_removal(
-    const AssignmentInstance& inst, const TaskOrders& orders,
+    const InstanceView& inst, const TaskOrders& orders,
     const std::vector<std::size_t>& rows,
     const Assignment& parent_assignment, std::size_t removed_parent_row,
     std::size_t polish_passes = 8);

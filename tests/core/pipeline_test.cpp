@@ -1,10 +1,12 @@
-/// Seeding one coalition ahead changes no output (DESIGN.md §4c): the
-/// value function's prepared evaluations equal sequential ones field for
-/// field, and mechanism runs on pool workers, where the seed is computed
-/// inline, complete and match the pipelined and sequential runs.
+/// Seeding coalitions ahead changes no output (DESIGN.md §4c): the value
+/// function's prepared evaluations equal sequential ones field for field
+/// at every lookahead depth, dropped preparations are cancelled and never
+/// reach a solve, and mechanism runs on pool workers, where the seed is
+/// computed inline, complete and match the pipelined and sequential runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <future>
 #include <latch>
@@ -52,13 +54,29 @@ struct Chain {
   std::size_t seeded_ahead = 0;
 };
 
+/// The `depth` coalitions the loop evaluates after `c` (fewer when it
+/// reaches one GSP), predicted as the mechanism does: on one copy of the
+/// RNG, advanced through the predicted picks.
+std::vector<game::Coalition> predict_chain(
+    game::Coalition c, std::size_t depth, const util::Xoshiro256& rng,
+    const trust::TrustGraph& trust, const trust::ReputationEngine& engine,
+    const Rule& rule) {
+  util::Xoshiro256 copy = rng;
+  std::vector<game::Coalition> chain;
+  while (chain.size() < depth && c.size() > 1) {
+    const std::vector<std::size_t> members = c.members();
+    c = c.without(members[rule(engine.compute(trust, members).scores, copy)]);
+    chain.push_back(c);
+  }
+  return chain;
+}
+
 /// Algorithm 1's warm chain driven through the value function. With
-/// `ahead`, each evaluation names the next coalition, predicted on a
-/// copy of the RNG as the mechanism does.
+/// `depth` > 0, each evaluation names the next `depth` coalitions.
 Chain run_chain(const ip::AssignmentInstance& inst,
                 const trust::TrustGraph& trust,
                 const ip::AssignmentSolver& solver, const Rule& rule,
-                std::uint64_t seed, bool ahead) {
+                std::uint64_t seed, std::size_t depth) {
   const game::VoValueFunction v(inst, solver);
   const trust::ReputationEngine engine(trust::ReputationOptions{});
   util::Xoshiro256 rng(seed);
@@ -68,11 +86,7 @@ Chain run_chain(const ip::AssignmentInstance& inst,
   for (;;) {
     const std::vector<std::size_t> members = c.members();
     const std::vector<double> scores = engine.compute(trust, members).scores;
-    hint.next = {};
-    if (ahead && c.size() > 1) {
-      util::Xoshiro256 copy = rng;
-      hint.next = c.without(members[rule(scores, copy)]);
-    }
+    hint.chain = predict_chain(c, depth, rng, trust, engine, rule);
     const game::CoalitionEvaluation& eval = v.evaluate(c, hint);
     out.coalitions.push_back(c);
     out.evaluations.push_back(eval);
@@ -134,8 +148,8 @@ TEST(PipelineTest, PreparedEvaluationsEqualSequentialOnes) {
                        " seed " + std::to_string(seed) +
                        (solver == &exact ? " exact" : " budgeted"));
           expect_same_chain(
-              run_chain(inst, trust, *solver, rule, seed, false),
-              run_chain(inst, trust, *solver, rule, seed, true));
+              run_chain(inst, trust, *solver, rule, seed, 0),
+              run_chain(inst, trust, *solver, rule, seed, 1));
         }
       }
     }
@@ -148,31 +162,35 @@ TEST(PipelineTest, HintNextMustBeTheCoalitionMinusOneMember) {
   const ip::BnbAssignmentSolver solver;
   const game::VoValueFunction v(inst, solver);
   game::WarmHint hint;
-  hint.next = game::Coalition::of({0, 1});
+  hint.chain = {game::Coalition::of({0, 1})};
   EXPECT_THROW((void)v.evaluate(game::Coalition::all(4), hint),
                InvalidArgument);
-  hint.next = game::Coalition::of({0, 1, 2, 3});
+  hint.chain = {game::Coalition::of({0, 1, 2, 3})};
   EXPECT_THROW((void)v.evaluate(game::Coalition::of({0, 1, 2}), hint),
                InvalidArgument);
 }
 
-/// Forwards every solve: a solver the value function cannot seed ahead
-/// for, so runs through it are sequential.
+/// Forwards every solve and counts the calls: a solver the value
+/// function cannot seed ahead for, so runs through it are sequential.
 class Forwarding final : public ip::AssignmentSolver {
  public:
   explicit Forwarding(const ip::AssignmentSolver& inner) : inner_(inner) {}
   ip::AssignmentSolution solve(
       const ip::AssignmentInstance& inst) const override {
+    ++calls_;
     return inner_.solve(inst);
   }
   ip::AssignmentSolution solve(const ip::AssignmentInstance& inst,
                                const ip::WarmStart& warm) const override {
+    ++calls_;
     return inner_.solve(inst, warm);
   }
   std::string name() const override { return inner_.name(); }
+  std::size_t calls() const noexcept { return calls_; }
 
  private:
   const ip::AssignmentSolver& inner_;
+  mutable std::atomic<std::size_t> calls_{0};
 };
 
 struct Outcome {
@@ -246,6 +264,111 @@ TEST(PipelineTest, PoolWorkersRunPipelineSizedRequestsInline) {
     SCOPED_TRACE("on worker " + std::to_string(w));
     expect_same_run(want, runs[w].get());
   }
+}
+
+TEST(PipelineTest, EveryLookaheadDepthEqualsTheSequentialChain) {
+  // Depths 1 .. pool - 1, and one past what the value function seeds
+  // (it caps the chain at lookahead_depth()). Tight instances end most
+  // chains on an infeasible coalition with more prepared behind it.
+  ip::BnbOptions tight_budget;
+  tight_budget.max_nodes = 60;
+  tight_budget.warm_max_nodes = 20;
+  const ip::BnbAssignmentSolver budgeted(tight_budget);
+  const ip::BnbAssignmentSolver exact;
+  const std::size_t deepest =
+      std::max<std::size_t>(util::ThreadPool::global().size(), 2);
+  std::size_t ended_inside_window = 0;
+  for (std::size_t depth = 1; depth <= deepest; ++depth) {
+    for (const std::size_t k : {3, 6, 9}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        util::Xoshiro256 setup(seed * 53 + k);
+        const ip::AssignmentInstance inst =
+            ip::testing::random_instance(k, 2 * k + 5, setup, true);
+        const trust::TrustGraph trust =
+            trust::random_trust_graph(k, 0.4, setup);
+        for (const ip::BnbAssignmentSolver* solver : {&budgeted, &exact}) {
+          SCOPED_TRACE("depth " + std::to_string(depth) + " k=" +
+                       std::to_string(k) + " seed " + std::to_string(seed) +
+                       (solver == &exact ? " exact" : " budgeted"));
+          const Chain seq = run_chain(inst, trust, *solver, lowest_score,
+                                      seed, 0);
+          expect_same_chain(seq, run_chain(inst, trust, *solver,
+                                           lowest_score, seed, depth));
+          if (depth >= 2 && seq.coalitions.back().size() > 1) {
+            ++ended_inside_window;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(ended_inside_window, 0u);
+}
+
+TEST(PipelineTest, DroppedPreparationsAreCancelledAndNeverSeedASolve) {
+  if (util::ThreadPool::global().size() < 2) {
+    GTEST_SKIP() << "nothing is prepared without a second pool worker";
+  }
+  // Large enough that the dropped seeds are still running.
+  util::Xoshiro256 setup(99);
+  const ip::AssignmentInstance inst =
+      ip::testing::random_instance(8, 4096, setup, true);
+  ip::BnbOptions opts;
+  opts.max_nodes = 2000;
+  opts.warm_max_nodes = 200;
+  const ip::BnbAssignmentSolver solver(opts);
+  const game::Coalition all = game::Coalition::all(8);
+  const game::Coalition child = all.without(7);
+  game::WarmHint ahead;
+  ahead.chain = {child, child.without(6), child.without(6).without(5)};
+
+  const game::VoValueFunction seq(inst, solver);
+  game::WarmHint warm;
+  warm.previous = &seq.evaluate(all);
+  warm.removed_gsp = 7;
+  const game::CoalitionEvaluation want = seq.evaluate(child, warm);
+
+  const game::VoValueFunction v(inst, solver);
+  warm.previous = &v.evaluate(all, ahead);
+  EXPECT_EQ(v.seeded_ahead(), 0u);
+  // A coalition off the chain drops every prepared one.
+  (void)v.evaluate(game::Coalition::of({0, 1, 2}));
+  const game::CoalitionEvaluation& got = v.evaluate(child, warm);
+  EXPECT_EQ(v.seeded_ahead(), 0u);  // solved with its own seed
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.cost, want.cost);
+  EXPECT_EQ(got.mapping, want.mapping);
+  EXPECT_EQ(got.stats.status, want.stats.status);
+  EXPECT_EQ(got.stats.nodes, want.stats.nodes);
+  EXPECT_EQ(got.stats.repair_moves, want.stats.repair_moves);
+
+  // Prepared again, then dropped by the destructor while seeding.
+  game::WarmHint again;
+  again.chain = {child.without(6), child.without(6).without(5)};
+  const game::VoValueFunction dropped(inst, solver);
+  (void)dropped.evaluate(child, again);
+}
+
+TEST(PipelineTest, DecoratorsSeeOneSolvePerJournalEntry) {
+  // A decorator is not the B&B solver, so nothing is prepared for it:
+  // it sees every coalition's solve through solve(), once.
+  util::Xoshiro256 setup(404);
+  const ip::AssignmentInstance inst =
+      ip::testing::random_instance(16, 2048, setup, true);
+  const trust::TrustGraph trust = trust::random_trust_graph(16, 0.4, setup);
+  ip::BnbOptions opts;
+  opts.max_nodes = 2000;
+  opts.warm_max_nodes = 300;
+  const ip::BnbAssignmentSolver solver(opts);
+  const Forwarding decorated(solver);
+  const Outcome got = run_tvof(decorated, inst, trust, 5);
+  ASSERT_GT(got.result.journal.size(), 1u);
+  EXPECT_EQ(decorated.calls(), got.result.journal.size());
+  expect_same_run(run_tvof(solver, inst, trust, 5), got);
+
+  const std::size_t workers = util::ThreadPool::global().size();
+  EXPECT_EQ(game::VoValueFunction(inst, decorated).lookahead_depth(), 0u);
+  EXPECT_EQ(game::VoValueFunction(inst, solver).lookahead_depth(),
+            workers >= 2 ? workers - 1 : 0);
 }
 
 }  // namespace

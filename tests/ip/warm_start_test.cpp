@@ -14,6 +14,7 @@
 #include "ip/greedy.hpp"
 #include "tests/ip/seed_reference.hpp"
 #include "tests/ip/test_instances.hpp"
+#include "util/thread_pool.hpp"
 
 namespace svo::ip {
 namespace {
@@ -153,6 +154,22 @@ TEST(TaskOrdersTest, RejectsMoreGspsThanSixteenBitRowsHold) {
   inst.payment = 1.0;
   ASSERT_EQ(inst.num_gsps(), 65536u);
   EXPECT_THROW((void)TaskOrders(inst), InvalidArgument);
+}
+
+TEST(TaskOrdersTest, PoolBuildEqualsInlineBuild) {
+  // From kPoolMinCells cells the tasks are placed in blocks on the global
+  // pool; on one of its workers the same build runs inline.
+  for (const std::size_t k : {std::size_t{8}, std::size_t{16}}) {
+    util::Xoshiro256 rng(k + 90);
+    const AssignmentInstance inst =
+        tied_instance(k, kPoolMinCells / k + 300, rng);
+    SCOPED_TRACE("k = " + std::to_string(k));
+    const TaskOrders pooled(inst);
+    const TaskOrders inline_build =
+        util::ThreadPool::global().submit([&] { return TaskOrders(inst); }).get();
+    EXPECT_TRUE(pooled == inline_build);
+    expect_sorted_definition(inst, pooled);
+  }
 }
 
 TEST(TaskOrdersTest, RegretOrderSeedsLikeRegretDescendingGreedy) {
